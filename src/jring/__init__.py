@@ -14,7 +14,6 @@ from .xring import (
     XPolynomial,
     derivation_d,
     derivation_delta,
-    multiply,
     project,
     truncate,
 )

@@ -7,13 +7,15 @@ series, and searches for algebra generators and their relations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from . import invariants
+from . import invariants, symfun
 from .combinatorics import (
     Composition,
     Partition,
@@ -95,8 +97,6 @@ def in_span(vector: Row, basis: list[Row]) -> bool:
 
 
 def _clear_denominators(v: Row) -> list[int]:
-    from math import gcd, lcm
-
     denom = lcm(*(x.denominator for x in v)) if v else 1
     ints = [int(x * denom) for x in v]
     g = 0
@@ -184,8 +184,6 @@ def dimension_table(n_max: int) -> DimensionTable:
 
 def g_expansion(p: XPolynomial, n: int, ell: int) -> dict[Composition, Fraction]:
     """Expand a homogeneous (n, ell) polynomial over the g_beta basis."""
-    from . import symfun
-
     tm = symfun.transition_matrix(n, ell)
     return tm.solve_g_coefficients(dict(p.terms))
 
@@ -308,8 +306,6 @@ def _decomposable(lam: Partition) -> bool:
 @lru_cache(maxsize=None)
 def _splits_properly(lam: Partition) -> bool:
     # union of >= 2 leading partitions, each of strictly smaller weight
-    from collections import Counter
-
     for mu in _proper_sub_multisets(lam):
         if not _is_leading_of_b0(mu):
             continue

@@ -1,12 +1,10 @@
-"""Command-line front end: text / JSON / LaTeX output and the matrix cache."""
+"""Command-line front end: argument parsing and text / JSON / LaTeX output."""
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -19,81 +17,7 @@ from .combinatorics import (
     is_composition,
     weight,
 )
-from .symfun import TransitionMatrix
 from .xring import XPolynomial, derivation_d
-
-CACHE_FORMAT_VERSION = 1
-CACHE_ENV_VAR = "JRING_CACHE"
-
-
-# ---------------------------------------------------------------------------
-# On-disk transition matrix cache
-
-
-class DiskCache:
-    """One JSON file per (n, ell); atomic write-then-rename, version checked."""
-
-    def __init__(self, directory: str):
-        self.directory = directory
-
-    def _path(self, n: int, ell: int) -> str:
-        return os.path.join(self.directory, f"M_{n}_{ell}.json")
-
-    def load(self, n: int, ell: int) -> Optional[TransitionMatrix]:
-        path = self._path(n, ell)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return None
-        if (
-            not isinstance(data, dict)
-            or data.get("version") != CACHE_FORMAT_VERSION
-            or data.get("n") != n
-            or data.get("ell") != ell
-        ):
-            return None
-        try:
-            partitions = [tuple(p) for p in data["partitions"]]
-            compositions = [tuple(b) for b in data["compositions"]]
-            matrix = data["matrix"]
-            entries = {}
-            for i, lam in enumerate(partitions):
-                for j, beta in enumerate(compositions):
-                    if matrix[i][j] != 0:
-                        entries[(lam, beta)] = matrix[i][j]
-        except (KeyError, TypeError, IndexError):
-            return None
-        return TransitionMatrix(n, ell, partitions, compositions, entries)
-
-    def store(self, tm: TransitionMatrix) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        matrix = [
-            [tm.entry(lam, beta) for beta in tm.compositions]
-            for lam in tm.partitions
-        ]
-        payload = {
-            "version": CACHE_FORMAT_VERSION,
-            "n": tm.n,
-            "ell": tm.ell,
-            "partitions": [list(p) for p in tm.partitions],
-            "compositions": [list(b) for b in tm.compositions],
-            "matrix": matrix,
-        }
-        fd, tmp_path = tempfile.mkstemp(
-            dir=self.directory, prefix=f".M_{tm.n}_{tm.ell}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp_path, self._path(tm.n, tm.ell))
-        except OSError:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-
 
 # ---------------------------------------------------------------------------
 # Rendering
@@ -183,14 +107,11 @@ def render_combination(comb: invariants.JCombination, fmt: str) -> str:
             [{"beta": list(b), "coeff": str(c)} for b, c in items]
         )
     if fmt == "latex":
-        bits = []
+        out = ""
         for b, c in items:
             label = ",".join(str(x) for x in b) if b else r"\emptyset"
             mag = "" if abs(c) == 1 else str(abs(c))
             body = f"{mag}g_{{({label})}}"
-            bits.append(body if c > 0 or not bits else body)
-        out = ""
-        for (b, c), body in zip(items, bits):
             if not out:
                 out = body if c > 0 else f"-{body}"
             else:
@@ -240,20 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
         "invariant polynomials.",
     )
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help=f"transition-matrix cache directory (default: ${CACHE_ENV_VAR})",
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json", "latex"),
         default="text",
         help="output format",
     )
-    # the same options are accepted after the subcommand; when given there
-    # they override the top-level value, otherwise SUPPRESS keeps it
+    # --format is accepted after the subcommand too; when given there it
+    # overrides the top-level value, otherwise SUPPRESS keeps it
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cache-dir", default=argparse.SUPPRESS)
     common.add_argument(
         "--format",
         choices=("text", "json", "latex"),
@@ -588,15 +503,11 @@ COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
-    symfun.set_cache_backend(DiskCache(cache_dir) if cache_dir else None)
     try:
         return COMMANDS[args.command](args)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"jring: {exc}", file=sys.stderr)
         return 2
-    finally:
-        symfun.set_cache_backend(None)
 
 
 if __name__ == "__main__":

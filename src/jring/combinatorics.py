@@ -31,14 +31,6 @@ def weight(beta: Composition) -> int:
     return sum(i * b for i, b in enumerate(beta, start=1))
 
 
-def is_partition(lam: Partition) -> bool:
-    if len(lam) == 0:
-        return True
-    if lam[-1] < 1:
-        return False
-    return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
-
-
 def to_partition(beta: Composition) -> Partition:
     """The partition with beta_j copies of the part j, largest parts first.
 
@@ -110,14 +102,10 @@ def _raw_compositions(n: int, ell: int) -> Iterator[list[int]]:
 
     def rec(pos: int, remaining: int, acc: list[int]) -> Iterator[list[int]]:
         if pos == ell:
-            low = 1
-        else:
-            low = 0
-        if pos == ell:
-            if remaining % pos == 0 and remaining // pos >= low:
+            if remaining % pos == 0 and remaining // pos >= 1:
                 yield acc + [remaining // pos]
             return
-        for b in range(low, remaining // pos + 1):
+        for b in range(remaining // pos + 1):
             yield from rec(pos + 1, remaining - pos * b, acc + [b])
 
     yield from rec(1, n, [])

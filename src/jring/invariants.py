@@ -21,7 +21,7 @@ from .combinatorics import (
     is_composition,
     weight,
 )
-from .xring import XPolynomial, truncate
+from .xring import XPolynomial, derivation_d, derivation_delta, truncate
 
 JCombination = dict[Composition, int]
 
@@ -286,9 +286,6 @@ def lift_exp(f: XPolynomial, max_degree: int) -> XPolynomial:
     to degree N - 1; any other divisor breaks the lift law whenever the
     length differs from the degree.
     """
-    from .xring import XPolynomial as _XP
-    from .xring import derivation_d, derivation_delta
-
     if f.is_zero() or not f.is_homogeneous():
         raise ValueError("lift_exp needs a nonzero homogeneous polynomial")
     n = f.max_degree()
@@ -299,7 +296,7 @@ def lift_exp(f: XPolynomial, max_degree: int) -> XPolynomial:
     out = XPolynomial.zero()
     lengths = {len(lam) for lam in f.terms}
     for ell in lengths:
-        component = _XP(
+        component = XPolynomial(
             {lam: c for lam, c in f.terms.items() if len(lam) == ell}
         )
         term = component

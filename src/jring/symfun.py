@@ -6,15 +6,21 @@ m_lambda and invert the (unitriangular) expansion by integer
 back-substitution.  The columns of the inverse M, defined by
 m_lambda = sum_beta M[lambda][beta] e^beta, are the coefficient vectors of
 the invariant basis polynomials.
+
+The expansion never leaves partition space.  A symmetric polynomial is kept
+as {mu: coefficient of m_mu}, mu a weakly decreasing l-tuple with zeros
+allowed.  Multiplying by e_j raises j parts of mu by one: choose t_v copies
+of each distinct part v with sum t_v = j, giving nu with coefficient
+prod_v C(mult_nu(v + 1), t_v), the number of ways to pick which parts of nu
+came from raising.  This is the 0-1 matrix count of the coefficients of
+e^beta (Macdonald, Symmetric Functions and Hall Polynomials, I.6).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Protocol
 
 from .combinatorics import (
     Composition,
@@ -27,58 +33,53 @@ from .combinatorics import (
 )
 
 
-def _elementary_poly(j: int, ell: int) -> dict[tuple[int, ...], int]:
-    # e_j in ell variables as {exponent vector: coefficient}
-    out: dict[tuple[int, ...], int] = {}
-
-    def rec(start: int, left: int, acc: list[int]):
-        if left == 0:
-            vec = [0] * ell
-            for i in acc:
-                vec[i] = 1
-            out[tuple(vec)] = 1
-            return
-        for i in range(start, ell - left + 1):
-            rec(i + 1, left - 1, acc + [i])
-
-    rec(0, j, [])
-    return out
-
-
-def _poly_mul(
-    a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]
-) -> dict[tuple[int, ...], int]:
-    out: dict[tuple[int, ...], int] = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            out[key] = out.get(key, 0) + va * vb
+def _times_elementary(
+    state: dict[Partition, int], j: int
+) -> dict[Partition, int]:
+    # multiply sum_mu c_mu m_mu (mu weakly decreasing, zeros allowed) by e_j
+    out: dict[Partition, int] = {}
+    for mu, c in state.items():
+        # (parts of nu so far, coefficient, raises left, unraised copies of
+        # the previous value), extended one block of equal parts at a time
+        partial = [((), c, j, 0)]
+        room = len(mu)
+        prev = None
+        for v in sorted(set(mu), reverse=True):
+            m = mu.count(v)
+            room -= m
+            step = []
+            for parts, coeff, left, kept in partial:
+                if prev != v + 1:
+                    kept = 0
+                for t in range(max(0, left - room), min(m, left) + 1):
+                    step.append((
+                        parts + (v + 1,) * t + (v,) * (m - t),
+                        coeff * math.comb(kept + t, t),
+                        left - t,
+                        m - t,
+                    ))
+            partial = step
+            prev = v
+        for nu, coeff, _, _ in partial:
+            out[nu] = out.get(nu, 0) + coeff
     return out
 
 
 def expand_elementary_product(beta: Composition, ell: int) -> dict[Partition, int]:
     """Coefficients of e^beta over the m_lambda basis in ell variables.
 
-    Works by explicit dense-exponent multiplication; since e^beta is
-    symmetric, the coefficient of m_lambda is the coefficient of the single
-    monomial k^lambda.  The e_l^{beta_l} factor is divided out first (it just
-    shifts every exponent), so every lambda that appears has exactly ell
-    parts.
+    Multiplies by e_1, ..., e_{l-1} in turn in partition space.  The
+    e_l^{beta_l} factor is divided out first (it just shifts every part),
+    so every lambda that appears has exactly ell parts.
     """
     if not is_composition(beta) or len(beta) != ell or ell < 1:
         raise ValueError(f"{beta} is not a valid index of length {ell}")
-    shift = beta[-1]
-    prod: dict[tuple[int, ...], int] = {(0,) * ell: 1}
+    state: dict[Partition, int] = {(0,) * ell: 1}
     for j in range(1, ell):
-        ej = _elementary_poly(j, ell)
         for _ in range(beta[j - 1]):
-            prod = _poly_mul(prod, ej)
-    out: dict[Partition, int] = {}
-    for vec, c in prod.items():
-        shifted = tuple(e + shift for e in vec)
-        if all(shifted[i] >= shifted[i + 1] for i in range(ell - 1)):
-            out[shifted] = c
-    return out
+            state = _times_elementary(state, j)
+    shift = beta[-1]
+    return {tuple(p + shift for p in mu): c for mu, c in state.items()}
 
 
 @dataclass
@@ -131,21 +132,7 @@ class TransitionMatrix:
         return coeffs
 
 
-class CacheBackend(Protocol):
-    def load(self, n: int, ell: int) -> Optional["TransitionMatrix"]: ...
-
-    def store(self, tm: "TransitionMatrix") -> None: ...
-
-
 _memo: dict[tuple[int, int], TransitionMatrix] = {}
-_memo_lock = threading.Lock()
-_cache_backend: Optional[CacheBackend] = None
-
-
-def set_cache_backend(backend: Optional[CacheBackend]) -> None:
-    """Install an external (e.g. on-disk) cache consulted before computing."""
-    global _cache_backend
-    _cache_backend = backend
 
 
 def _build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
@@ -195,19 +182,10 @@ def transition_matrix(n: int, ell: int) -> TransitionMatrix:
     """Memoized transition matrix for (n, ell); n >= ell >= 1 required."""
     if not n >= ell >= 1:
         raise ValueError("transition_matrix requires n >= ell >= 1")
-    key = (n, ell)
-    tm = _memo.get(key)
-    if tm is not None:
-        return tm
-    if _cache_backend is not None:
-        tm = _cache_backend.load(n, ell)
+    tm = _memo.get((n, ell))
     if tm is None:
-        tm = _build_transition_matrix(n, ell)
-        if _cache_backend is not None:
-            _cache_backend.store(tm)
-    with _memo_lock:
-        # first writer wins so every reader sees one fully built value
-        return _memo.setdefault(key, tm)
+        tm = _memo[(n, ell)] = _build_transition_matrix(n, ell)
+    return tm
 
 
 def waring_coefficient(beta: Composition) -> int:

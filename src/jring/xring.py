@@ -120,10 +120,6 @@ class XPolynomial:
         return "XPolynomial(" + " + ".join(bits) + ")"
 
 
-def multiply(p: XPolynomial, q: XPolynomial) -> XPolynomial:
-    return p * q
-
-
 def derivation_d(p: XPolynomial) -> XPolynomial:
     """Leibniz extension of d x_1 = 0, d x_i = x_{i-1}; lowers degree by 1."""
     out: dict[Partition, Fraction] = {}

@@ -1,24 +1,14 @@
 import json
-import os
 
 import pytest
 
-from jring import symfun
 from jring.cli import (
-    CACHE_FORMAT_VERSION,
-    DiskCache,
     main,
     parse_beta,
     render_combination,
     render_polynomial,
 )
 from jring.invariants import g_poly
-from jring.symfun import transition_matrix
-
-
-@pytest.fixture(autouse=True)
-def no_cache_env(monkeypatch):
-    monkeypatch.delenv("JRING_CACHE", raising=False)
 
 
 def run(capsys, *argv):
@@ -164,76 +154,14 @@ def test_invalid_beta_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def test_unknown_option_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["poly", "0,3", "--no-such-option", "x"])
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
 def test_domain_error_exits_2(capsys):
     code = main(["lift", "0,2", "--max-degree", "2"])
     capsys.readouterr()
     assert code == 2
-
-
-# ---------------------------------------------------------------------------
-# the on-disk matrix cache
-
-
-def test_disk_cache_round_trip(tmp_path):
-    cache = DiskCache(str(tmp_path))
-    tm = transition_matrix(6, 2)
-    cache.store(tm)
-    loaded = cache.load(6, 2)
-    assert loaded is not None
-    assert loaded.partitions == tm.partitions
-    assert loaded.compositions == tm.compositions
-    assert loaded.entries == tm.entries
-
-
-def test_disk_cache_misses(tmp_path):
-    cache = DiskCache(str(tmp_path))
-    assert cache.load(5, 2) is None
-
-
-def test_disk_cache_rejects_corrupt_file(tmp_path):
-    cache = DiskCache(str(tmp_path))
-    path = os.path.join(str(tmp_path), "M_6_2.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{not json")
-    assert cache.load(6, 2) is None
-
-
-def test_disk_cache_rejects_version_mismatch(tmp_path):
-    cache = DiskCache(str(tmp_path))
-    tm = transition_matrix(6, 2)
-    cache.store(tm)
-    path = os.path.join(str(tmp_path), "M_6_2.json")
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    data["version"] = CACHE_FORMAT_VERSION + 1
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
-    assert cache.load(6, 2) is None
-
-
-def test_cli_populates_cache_directory(tmp_path, monkeypatch, capsys):
-    # bypass the in-process memo so the disk cache actually gets exercised
-    monkeypatch.setattr(symfun, "_memo", {})
-    code, out = run(
-        capsys, "poly", "0,3", "--cache-dir", str(tmp_path)
-    )
-    assert code == 0
-    assert os.path.exists(os.path.join(str(tmp_path), "M_6_2.json"))
-    # a second fresh run reads the cached file and prints the same polynomial
-    monkeypatch.setattr(symfun, "_memo", {})
-    code2, out2 = run(capsys, "poly", "0,3", "--cache-dir", str(tmp_path))
-    assert code2 == 0
-    assert out2 == out
-
-
-def test_cache_env_variable(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(symfun, "_memo", {})
-    monkeypatch.setenv("JRING_CACHE", str(tmp_path))
-    code, _ = run(capsys, "poly", "0,4")
-    assert code == 0
-    assert os.path.exists(os.path.join(str(tmp_path), "M_8_2.json"))
-
-
-def test_backend_reset_after_main(tmp_path, capsys):
-    run(capsys, "poly", "0,2", "--cache-dir", str(tmp_path))
-    assert symfun._cache_backend is None

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dense_oracle import dense_expansion
 from jring.combinatorics import (
     conjugate,
     dominance_leq,
@@ -21,6 +24,29 @@ def test_expand_examples():
     assert expand_elementary_product((2, 1), 2) == {(3, 1): 1, (2, 2): 2}
     assert expand_elementary_product((0, 2), 2) == {(2, 2): 1}
     assert expand_elementary_product((1,), 1) == {(1,): 1}
+
+
+def test_expansion_matches_dense_oracle():
+    for n in range(1, 13):
+        for ell in range(1, n + 1):
+            for beta in enumerate_compositions(n, ell):
+                assert expand_elementary_product(beta, ell) == dense_expansion(
+                    beta, ell
+                )
+
+
+@st.composite
+def labels(draw, max_n=16, max_ell=8):
+    n = draw(st.integers(1, max_n))
+    ell = draw(st.integers(1, min(n, max_ell)))
+    return draw(st.sampled_from(enumerate_compositions(n, ell)))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(labels())
+def test_expansion_matches_dense_oracle_on_drawn_labels(beta):
+    ell = len(beta)
+    assert expand_elementary_product(beta, ell) == dense_expansion(beta, ell)
 
 
 def test_expansion_is_unitriangular():
@@ -44,7 +70,7 @@ def test_expansion_coefficients_positive_and_graded():
 
 
 def test_transition_matrix_shape_and_unitriangular():
-    for n in range(1, 11):
+    for n in range(1, 19):
         for ell in range(1, n + 1):
             tm = transition_matrix(n, ell)
             assert len(tm.partitions) == len(tm.compositions)
@@ -107,7 +133,7 @@ def test_waring_examples(beta, value):
 
 
 def test_waring_matches_matrix_entry():
-    for n in range(1, 15):
+    for n in range(1, 19):
         for ell in range(1, n + 1):
             omega = (n - ell + 1,) + (1,) * (ell - 1)
             tm = transition_matrix(n, ell)
