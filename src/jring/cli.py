@@ -224,6 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_basis(args) -> int:
+    if args.n < 0 or args.ell < 0:
+        raise ValueError("basis needs --n >= 0 and --ell >= 0")
     betas = enumerate_compositions(
         args.n, args.ell, first=0 if args.zero_only else None
     )
@@ -508,6 +510,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"jring: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"jring: internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -93,8 +93,11 @@ def partition_sort_key(lam: Partition):
     return (sum(lam), len(lam), tuple(-p for p in lam))
 
 
-def _raw_compositions(n: int, ell: int) -> Iterator[list[int]]:
-    # all (b_1, ..., b_ell) with b_i >= 0, b_ell >= 1 and sum i*b_i = n
+def _raw_compositions(
+    n: int, ell: int, first: Optional[int] = None
+) -> Iterator[list[int]]:
+    # all (b_1, ..., b_ell) with b_i >= 0, b_ell >= 1 and sum i*b_i = n;
+    # when first is given (needs ell >= 2), only those with b_1 = first
     if ell == 0:
         if n == 0:
             yield []
@@ -105,10 +108,14 @@ def _raw_compositions(n: int, ell: int) -> Iterator[list[int]]:
             if remaining % pos == 0 and remaining // pos >= 1:
                 yield acc + [remaining // pos]
             return
-        for b in range(remaining // pos + 1):
+        # leave at least ell for b_ell >= 1
+        for b in range((remaining - ell) // pos + 1):
             yield from rec(pos + 1, remaining - pos * b, acc + [b])
 
-    yield from rec(1, n, [])
+    if first is None:
+        yield from rec(1, n, [])
+    elif 0 <= first <= n:
+        yield from rec(2, n - first, [first])
 
 
 def enumerate_partitions(n: int, ell: int) -> list[Partition]:
@@ -154,8 +161,6 @@ def enumerate_compositions(
         if first is None:
             return [(n,)] if n >= 1 else []
         return [(first + 1,)] if n == first + 1 else []
-    betas = [tuple(b) for b in _raw_compositions(n, ell)]
-    if first is not None:
-        betas = [b for b in betas if b[0] == first]
+    betas = [tuple(b) for b in _raw_compositions(n, ell, first)]
     betas.sort(key=composition_sort_key)
     return betas

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import symfun
@@ -61,55 +60,20 @@ def _in_b0(beta: Composition) -> bool:
     return len(beta) >= 2 and beta[0] == 0 and beta[-1] >= 1
 
 
-@lru_cache(maxsize=None)
-def _pair_expansion_table(
-    n2: int, ell: int, ell2: int
-) -> dict[Composition, dict[tuple[Composition, Composition], int]]:
-    """For every beta'' in B_{n2}^{(ell+ell2)}: its expansion over pairs.
-
-    Expands e^{beta''} in the union variable set via
-    e_i(k, k') = sum_j e_j(k) e_{i-j}(k'), with e_j(k) = 0 for j > ell and
-    e_j(k') = 0 for j > ell2, treating the one-set elementary polynomials as
-    formal commuting indeterminates.
-    """
-    total = ell + ell2
-    factors: list[list[tuple[int, int]]] = [[]]  # index i-1: (j, i-j) choices
-    for i in range(1, total + 1):
-        lo = max(0, i - ell2)
-        hi = min(i, ell)
-        factors.append([(j, i - j) for j in range(lo, hi + 1)])
-
-    table: dict[Composition, dict[tuple[Composition, Composition], int]] = {}
-    for beta2 in enumerate_compositions(n2, total):
-        prod: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {
-            ((0,) * ell, (0,) * ell2): 1
-        }
-        for i in range(1, total + 1):
-            for _ in range(beta2[i - 1]):
-                nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-                for (a, b), c in prod.items():
-                    for j, j2 in factors[i]:
-                        na = list(a)
-                        nb = list(b)
-                        if j > 0:
-                            na[j - 1] += 1
-                        if j2 > 0:
-                            nb[j2 - 1] += 1
-                        key = (tuple(na), tuple(nb))
-                        nxt[key] = nxt.get(key, 0) + c
-                prod = nxt
-        table[beta2] = prod
-    return table
-
-
 def structure_constants(
     beta: Composition, beta2: Composition
 ) -> dict[Composition, int]:
     """The multiplication table entry: g_beta * g_beta' = sum N * g_beta''.
 
-    Every beta'' of length len(beta) + len(beta2) and weight
-    weight(beta) + weight(beta2) contributing a nonzero (non-negative)
-    coefficient is returned.
+    N^{beta''} is the coefficient of e^beta(k) e^beta'(k') in
+    e^{beta''}(k u k'), by e_i(k u k') = sum_j e_j(k) e_{i-j}(k').  It is a
+    sum over split tables T[j][j'], 0 <= j <= ell = len(beta) and
+    0 <= j' <= ell' = len(beta2), with T[0][0] absent: row j >= 1 sums to
+    beta_j, column j' >= 1 sums to beta'_j', row 0 and column 0 take what is
+    left, and beta''_i = sum_{j+j'=i} T[j][j'].  Each table adds
+    prod_i beta''_i! / prod T[j][j']!.  Only tables with T[ell][ell'] >= 1
+    count, so every beta'' has length ell + ell' and weight
+    weight(beta) + weight(beta2); each coefficient returned is positive.
     """
     beta, beta2 = tuple(beta), tuple(beta2)
     if not (is_composition(beta) and is_composition(beta2)):
@@ -118,13 +82,43 @@ def structure_constants(
         return {beta2: 1} if beta2 != EMPTY else {EMPTY: 1}
     if beta2 == EMPTY:
         return {beta: 1}
-    n_total = weight(beta) + weight(beta2)
-    table = _pair_expansion_table(n_total, len(beta), len(beta2))
+    ell, ell2 = len(beta), len(beta2)
+    fact = math.factorial
+    # only rows and columns with a nonzero total hold nonzero entries
+    rows = [j for j, b in enumerate(beta, start=1) if b]
+    cols = [j2 for j2, b in enumerate(beta2, start=1) if b]
+    col_left = list(beta2)  # column totals still left, column j' at j'-1
+    diag = [0] * (ell + ell2 + 1)  # beta''_i so far at i
     out: dict[Composition, int] = {}
-    for b2, expansion in table.items():
-        c = expansion.get((beta, beta2), 0)
-        if c:
-            out[b2] = c
+
+    def place(r: int, c: int, row_left: int, denom: int) -> None:
+        # choose T[j][j2] for j = rows[r], j2 = cols[c], then the next cell
+        j = rows[r]
+        if c == len(cols):
+            diag[j] += row_left  # T[j][0]
+            denom *= fact(row_left)
+            if r + 1 < len(rows):
+                place(r + 1, 0, beta[rows[r + 1] - 1], denom)
+            else:
+                top = diag[:]
+                for j2, t in enumerate(col_left, start=1):  # T[0][j2]
+                    top[j2] += t
+                    denom *= fact(t)
+                key = tuple(top[1:])
+                n = math.prod(fact(b) for b in key) // denom
+                out[key] = out.get(key, 0) + n
+            diag[j] -= row_left
+            return
+        j2 = cols[c]
+        lo = 1 if (j, j2) == (ell, ell2) else 0
+        for t in range(lo, min(row_left, col_left[j2 - 1]) + 1):
+            col_left[j2 - 1] -= t
+            diag[j + j2] += t
+            place(r, c + 1, row_left - t, denom * fact(t))
+            col_left[j2 - 1] += t
+            diag[j + j2] -= t
+
+    place(0, 0, beta[rows[0] - 1], 1)
     return out
 
 

@@ -8,6 +8,7 @@ from jring.cli import (
     render_combination,
     render_polynomial,
 )
+from jring import invariants
 from jring.invariants import g_poly
 
 
@@ -78,6 +79,15 @@ def test_product_command(capsys):
     code, out = run(capsys, "product", "0,2", "0,2")
     assert code == 0
     assert out.strip() == "2*g(0,2,0,1) + 1*g(0,0,0,2)"
+
+
+def test_basis_refuses_negative_sizes(capsys):
+    assert main(["basis", "--n", "-1", "--ell", "2"]) == 2
+    assert main(["basis", "--n", "3", "--ell", "-1"]) == 2
+    assert "--n >= 0" in capsys.readouterr().err
+    code, out = run(capsys, "basis", "--n", "0", "--ell", "0")
+    assert code == 0
+    assert out.strip() == "g(empty) = 1"
 
 
 def test_basis_command_json(capsys):
@@ -159,6 +169,17 @@ def test_unknown_option_exits_2(capsys):
         main(["poly", "0,3", "--no-such-option", "x"])
     capsys.readouterr()
     assert exc.value.code == 2
+
+
+def test_internal_error_exits_1_without_traceback(capsys, monkeypatch):
+    def broken(beta, beta2):
+        raise RuntimeError("consistency check failed")
+
+    monkeypatch.setattr(invariants, "structure_constants", broken)
+    assert main(["product", "0,2", "0,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "jring: internal error: consistency check failed\n"
 
 
 def test_domain_error_exits_2(capsys):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jring.combinatorics import EMPTY, enumerate_compositions, weight
 from jring.invariants import (
@@ -20,15 +22,32 @@ from jring.invariants import (
 from jring.xring import XPolynomial, derivation_d, project, truncate
 
 from appendix_data import ALL_BASIS_TABLES
+from pair_table_oracle import pair_table_constants
+
+
+def b0_labels_of_weight(n):
+    return [
+        beta
+        for ell in range(1, n + 1)
+        for beta in enumerate_compositions(n, ell, first=0)
+    ]
 
 
 def b0_labels(max_weight):
     return [
         beta
         for n in range(1, max_weight + 1)
-        for ell in range(1, n + 1)
-        for beta in enumerate_compositions(n, ell, first=0)
+        for beta in b0_labels_of_weight(n)
     ]
+
+
+@st.composite
+def b0_pairs(draw, max_total):
+    n1 = draw(st.integers(1, max_total - 1))
+    n2 = draw(st.integers(1, max_total - n1))
+    return tuple(
+        draw(st.sampled_from(b0_labels_of_weight(n))) for n in (n1, n2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +122,39 @@ def test_structure_constants_nonnegative_and_graded():
                 assert c > 0
                 assert weight(b3) == weight(b1) + weight(b2)
                 assert len(b3) == len(b1) + len(b2)
+
+
+def test_structure_constants_match_pair_table_oracle():
+    labels = [
+        beta
+        for n in range(1, 12)
+        for ell in range(1, n + 1)
+        for beta in enumerate_compositions(n, ell)
+    ]
+    for b1 in labels:
+        for b2 in labels:
+            if weight(b1) + weight(b2) <= 12:
+                assert structure_constants(b1, b2) == pair_table_constants(
+                    b1, b2
+                )
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(b0_pairs(max_total=20))
+def test_structure_constants_match_pair_table_oracle_on_drawn_pairs(pair):
+    assert structure_constants(*pair) == pair_table_constants(*pair)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(b0_pairs(max_total=16))
+def test_drawn_products_are_graded_positive_and_realized(pair):
+    b1, b2 = pair
+    for b3, c in structure_constants(b1, b2).items():
+        assert c > 0
+        assert weight(b3) == weight(b1) + weight(b2)
+        assert len(b3) == len(b1) + len(b2)
+    got = realize(j_product({b1: 1}, {b2: 1}))
+    assert got == g_poly(b1) * g_poly(b2)
 
 
 def test_j_product_bilinear():
