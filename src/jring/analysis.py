@@ -1,8 +1,9 @@
 """Independent verification and exploration of the invariant ring.
 
-Re-derives the kernel of the lowering derivation by exact linear algebra,
-tabulates dimensions two independent ways, expands the closed-form Poincare
-series, and searches for algebra generators and their relations.
+Re-derives the kernel of the lowering derivation by exact, fraction-free
+integer elimination, tabulates dimensions two independent ways, expands the
+closed-form Poincare series, and searches for algebra generators and their
+relations.
 """
 
 from __future__ import annotations
@@ -29,88 +30,78 @@ from .xring import XPolynomial, derivation_d
 
 
 # ---------------------------------------------------------------------------
-# Exact rational linear algebra
+# Exact integer linear algebra
 
-Row = list[Fraction]
+Row = list[int]
+
+
+def _primitive(row: Row) -> Row:
+    # divide by the content, making the first nonzero entry positive
+    g = gcd(*row)
+    if g == 0:
+        return row
+    if next(x for x in row if x) < 0:
+        g = -g
+    return [x // g for x in row]
 
 
 def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form over Q; returns (rows, pivot columns)."""
+    """Reduced row echelon form over Z; returns (rows, pivot columns).
+
+    Fraction-free Gauss-Jordan elimination: a row is only ever replaced by
+    an integer combination of itself and the pivot row, divided by its
+    content.  Each returned row is primitive, with a positive pivot and zeros
+    in the other pivot columns: the primitive integer multiple of the
+    reduced row over Q.
+    """
     rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        # pick the pivot with the largest numerator to keep entries tame
-        best = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0 and (
-                best is None or abs(rows[i][c].numerator) > abs(rows[best][c].numerator)
-            ):
-                best = i
-        if best is None:
+    for c in range(len(rows[0]) if rows else 0):
+        live = [i for i in range(r, len(rows)) if rows[i][c]]
+        if not live:
             continue
+        # the smallest pivot keeps the entries tame
+        best = min(live, key=lambda i: abs(rows[i][c]))
         rows[r], rows[best] = rows[best], rows[r]
-        piv = rows[r][c]
-        rows[r] = [v / piv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot_row = rows[r] = _primitive(rows[r])
+        piv = pivot_row[c]
+        for i, row in enumerate(rows):
+            a = row[c]
+            if a and i != r:
+                g = gcd(piv, a)
+                p, q = piv // g, a // g
+                rows[i] = _primitive(
+                    [p * x - q * y for x, y in zip(row, pivot_row)]
+                )
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    nonzero = [row for row in rows if any(v != 0 for v in row)]
-    return nonzero, pivots
+    return rows[:r], pivots
 
 
 def nullspace(rows: list[Row], ncols: int) -> list[Row]:
-    """Basis of {v : A v = 0}, from the reduced echelon form of A."""
+    """Integer basis of {v : A v = 0}, one vector per non-pivot column."""
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
+    scale = lcm(*(row[pc] for row, pc in zip(red, pivots)))
     basis: list[Row] = []
     for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [0] * ncols
+        v[fc] = scale
         for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
+            v[pc] = -row[fc] * scale // row[pc]
+        basis.append(_primitive(v))
     return basis
 
 
 def in_span(vector: Row, basis: list[Row]) -> bool:
-    """True iff vector is a rational linear combination of the basis rows."""
-    if all(v == 0 for v in vector):
-        return True
-    if not basis:
-        return False
-    red, pivots = rref(basis)
-    v = list(vector)
-    for row, pc in zip(red, pivots):
-        if v[pc] != 0:
-            f = v[pc]
-            v = [a - f * b for a, b in zip(v, row)]
-    return all(x == 0 for x in v)
+    """True iff vector is a rational linear combination of the basis rows.
 
-
-def _clear_denominators(v: Row) -> list[int]:
-    denom = lcm(*(x.denominator for x in v)) if v else 1
-    ints = [int(x * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    # sign convention: first nonzero entry positive
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return ints
+    That is, iff appending it to the rows leaves the rank unchanged.
+    """
+    return len(rref(list(basis) + [vector])[1]) == len(rref(basis)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -126,21 +117,18 @@ def kernel_basis(n: int, ell: int) -> list[XPolynomial]:
     if not domain:
         return []
     cod_pos = {lam: i for i, lam in enumerate(codomain)}
-    rows = [[Fraction(0)] * len(domain) for _ in codomain]
+    rows = [[0] * len(domain) for _ in codomain]
     for j, lam in enumerate(domain):
         image = derivation_d(XPolynomial.monomial(lam))
+        # d maps a monomial to an integer polynomial, stored as Fractions
         for mu, c in image.terms.items():
-            rows[cod_pos[mu]][j] += c
-    vectors = nullspace(rows, len(domain))
+            rows[cod_pos[mu]][j] += int(c)
     # canonical form: echelonize the kernel basis itself
-    vectors, _ = rref(vectors) if vectors else ([], [])
-    out = []
-    for v in vectors:
-        ints = _clear_denominators(v)
-        out.append(
-            XPolynomial({lam: c for lam, c in zip(domain, ints) if c != 0})
-        )
-    return out
+    vectors, _ = rref(nullspace(rows, len(domain)))
+    return [
+        XPolynomial({lam: c for lam, c in zip(domain, v) if c != 0})
+        for v in vectors
+    ]
 
 
 @dataclass
@@ -383,33 +371,19 @@ def find_relations(
         for beta in enumerate_compositions(degree, ell, first=0)
     ]
     pos = {beta: i for i, beta in enumerate(basis)}
-    columns: list[Row] = []
-    for mono in monomials:
-        comb = evaluate_monomial(mono)
-        col = [Fraction(0)] * len(basis)
-        for beta, c in comb.items():
-            col[pos[beta]] = Fraction(c)
-        columns.append(col)
     # rows of the system are indexed by basis labels, columns by monomials
-    rows = [
-        [columns[j][i] for j in range(len(monomials))]
-        for i in range(len(basis))
-    ]
-    kernel = nullspace(rows, len(monomials))
-    kernel, _ = rref(kernel) if kernel else ([], [])
-    relations: list[Relation] = []
-    for v in kernel:
-        ints = _clear_denominators(v)
-        relations.append(
-            {m: c for m, c in zip(monomials, ints) if c != 0}
-        )
-    return relations
+    rows = [[0] * len(monomials) for _ in basis]
+    for j, mono in enumerate(monomials):
+        for beta, c in evaluate_monomial(mono).items():
+            rows[pos[beta]][j] = c
+    kernel, _ = rref(nullspace(rows, len(monomials)))
+    return [{m: c for m, c in zip(monomials, v) if c != 0} for v in kernel]
 
 
 def relation_vector(
     relation: Relation, monomials: Sequence[Monomial]
 ) -> Row:
-    return [Fraction(relation.get(m, 0)) for m in monomials]
+    return [relation.get(m, 0) for m in monomials]
 
 
 def relation_in_span(relation: Relation, relations: Sequence[Relation]) -> bool:

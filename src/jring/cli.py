@@ -306,6 +306,8 @@ def cmd_chern(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    if args.max_n < 1:
+        raise ValueError("dims needs --max-n >= 1")
     table = analysis.dimension_table(args.max_n)
     if args.format == "json":
         payload = [
@@ -362,6 +364,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_generators(args) -> int:
+    if args.max_n < 1:
+        raise ValueError("generators needs --max-n >= 1")
     gens = analysis.generator_candidates(args.max_n)
     if args.format == "json":
         print(json.dumps([list(g) for g in gens]))
@@ -375,6 +379,8 @@ def cmd_generators(args) -> int:
 
 
 def cmd_relations(args) -> int:
+    if args.degree < 1:
+        raise ValueError("relations needs --degree >= 1")
     gens = analysis.generator_candidates(args.degree)
     relations = analysis.find_relations(args.degree, gens)
     if args.format == "json":
@@ -400,6 +406,8 @@ def cmd_relations(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_n < 1:
+        raise ValueError("verify needs --max-n >= 1")
     failures = 0
     for name, ok in run_verification(args.max_n):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")

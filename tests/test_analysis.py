@@ -1,8 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jring.analysis import (
+    _monomials_of_weight,
     dimension_table,
     evaluate_monomial,
     find_relations,
@@ -27,27 +31,24 @@ from appendix_data import (
     RELATION_B,
     TOTAL_SERIES_24,
 )
+import rational_rref_oracle
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
 
-def F(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def test_rref_examples():
-    red, pivots = rref(F([[2, 4], [1, 2]]))
-    assert red == F([[1, 2]])
+    red, pivots = rref([[2, 4], [1, 2]])
+    assert red == [[1, 2]]
     assert pivots == [0]
-    red, pivots = rref(F([[0, 1], [1, 0]]))
-    assert red == F([[1, 0], [0, 1]])
+    red, pivots = rref([[0, 1], [1, 0]])
+    assert red == [[1, 0], [0, 1]]
     assert pivots == [0, 1]
 
 
 def test_nullspace_solves():
-    rows = F([[1, 2, 3], [2, 4, 6]])
+    rows = [[1, 2, 3], [2, 4, 6]]
     basis = nullspace(rows, 3)
     assert len(basis) == 2
     for v in basis:
@@ -56,10 +57,60 @@ def test_nullspace_solves():
 
 
 def test_in_span():
-    basis = F([[1, 0, 1], [0, 1, 1]])
-    assert in_span(F([[2, 3, 5]])[0], basis)
-    assert not in_span(F([[1, 1, 1]])[0], basis)
-    assert in_span([Fraction(0)] * 3, [])
+    basis = [[1, 0, 1], [0, 1, 1]]
+    assert in_span([2, 3, 5], basis)
+    assert not in_span([1, 1, 1], basis)
+    assert in_span([0] * 3, [])
+
+
+@st.composite
+def integer_system(draw):
+    # rows plus scaled copies (zero and repeated rows among them), and a
+    # vector that is either arbitrary or an integer combination of the rows
+    ncols = draw(st.integers(1, 10))
+    entries = st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(entries, min_size=1, max_size=6))
+    copies = draw(
+        st.lists(
+            st.tuples(st.sampled_from(rows), st.integers(-2, 2)), max_size=2
+        )
+    )
+    rows = draw(st.permutations(rows + [[k * x for x in r] for r, k in copies]))
+    weights = st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows))
+    combination = weights.map(
+        lambda ws: [sum(w * x for w, x in zip(ws, col)) for col in zip(*rows)]
+    )
+    return rows, draw(st.one_of(entries, combination))
+
+
+def _rational(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(integer_system())
+def test_integer_elimination_matches_rational_oracle(system):
+    rows, vector = system
+    ncols = len(rows[0])
+    red, pivots = rref(rows)
+    q_red, q_pivots = rational_rref_oracle.rref(_rational(rows))
+    assert pivots == q_pivots
+    assert len(red) == len(q_red)
+    # each row is the primitive, positive-pivot multiple of the oracle row,
+    # whose pivot entry is 1
+    for row, q_row, pc in zip(red, q_red, pivots):
+        assert all(type(x) is int for x in row)
+        assert row[pc] > 0 and gcd(*row) == 1
+        assert [Fraction(x) for x in row] == [row[pc] * y for y in q_row]
+    kernel = nullspace(rows, ncols)
+    assert len(kernel) == ncols - len(pivots)
+    for v in kernel:
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, v)) == 0
+    assert len(rational_rref_oracle.rref(_rational(kernel))[1]) == len(kernel)
+    assert in_span(vector, rows) == rational_rref_oracle.in_span(
+        [Fraction(x) for x in vector], _rational(rows)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +147,10 @@ def test_kernel_basis_spans_the_invariant_slice():
             if not basis:
                 continue
             keys = sorted({lam for p in basis for lam in p.terms})
-            rows = [
-                [Fraction(p.coefficient(lam)) for lam in keys] for p in basis
-            ]
+            rows = [[int(p.coefficient(lam)) for lam in keys] for p in basis]
             for beta in labels:
                 g = g_poly(beta)
-                vec = [Fraction(g.coefficient(lam)) for lam in keys]
+                vec = [int(g.coefficient(lam)) for lam in keys]
                 assert in_span(vec, rows)
 
 
@@ -213,3 +262,19 @@ def test_two_relations_in_degree_twelve():
         for mono, c in rel.items():
             total = total + realize(evaluate_monomial(mono)).scale(c)
         assert total.is_zero()
+
+
+# Relation counts in degrees 1..18.  No published table goes this far; the
+# two routes below check each other.
+RELATION_COUNTS = [0] * 11 + [2, 2, 4, 5, 11, 15, 26]
+
+
+@pytest.mark.parametrize("degree", range(1, 19))
+def test_relation_counts(degree):
+    gens = generator_candidates(degree)
+    count = RELATION_COUNTS[degree - 1]
+    assert len(find_relations(degree, gens)) == count
+    # the leading monomials of the generator products cover every B(0)
+    # lead, so the products span J_degree: relations = monomials - dim
+    monomials = _monomials_of_weight(gens, degree)
+    assert count == len(monomials) - poincare_series(degree)[degree]

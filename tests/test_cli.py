@@ -149,6 +149,23 @@ def test_relations_command(capsys):
     assert out.strip() == "no relations in degree 8"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["relations", "--degree", "0"], "relations needs --degree >= 1"),
+        (["relations", "--degree", "-2"], "relations needs --degree >= 1"),
+        (["dims", "--max-n", "0"], "dims needs --max-n >= 1"),
+        (["generators", "--max-n", "0"], "generators needs --max-n >= 1"),
+        (["verify", "--max-n", "0"], "verify needs --max-n >= 1"),
+    ],
+)
+def test_sizes_below_one_are_refused(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"jring: {message}\n"
+
+
 def test_verify_command(capsys):
     code, out = run(capsys, "verify", "--max-n", "4")
     assert code == 0
