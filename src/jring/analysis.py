@@ -119,10 +119,8 @@ def kernel_basis(n: int, ell: int) -> list[XPolynomial]:
     cod_pos = {lam: i for i, lam in enumerate(codomain)}
     rows = [[0] * len(domain) for _ in codomain]
     for j, lam in enumerate(domain):
-        image = derivation_d(XPolynomial.monomial(lam))
-        # d maps a monomial to an integer polynomial, stored as Fractions
-        for mu, c in image.terms.items():
-            rows[cod_pos[mu]][j] += int(c)
+        for mu, c in derivation_d(XPolynomial.monomial(lam)).terms.items():
+            rows[cod_pos[mu]][j] += c
     # canonical form: echelonize the kernel basis itself
     vectors, _ = rref(nullspace(rows, len(domain)))
     return [

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import analysis, invariants, symfun
@@ -23,15 +23,9 @@ from .xring import XPolynomial, derivation_d
 # Rendering
 
 
-def _coeff_str(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def render_polynomial_json(p: XPolynomial) -> list[dict]:
     return [
-        {"partition": list(lam), "coeff": _coeff_str(c)}
+        {"partition": list(lam), "coeff": str(c)}
         for lam, c in p.sorted_terms()
     ]
 
@@ -66,11 +60,11 @@ def _render_terms(terms, mono_fn, joiner: str = " ") -> str:
         mono = mono_fn(lam)
         mag = abs(c)
         if mono == "1":
-            body = _coeff_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{_coeff_str(mag)}{joiner}{mono}"
+            body = f"{mag}{joiner}{mono}"
         if i == 0:
             out = body if c > 0 else f"-{body}"
         else:
@@ -154,7 +148,13 @@ def parse_kvec(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"cannot parse k values {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The jring argument parser, built on first use and shared process-wide.
+
+    Every call returns the same object; parse_args keeps no state in it
+    between calls, so repeated main() calls in one process only parse.
+    """
     parser = argparse.ArgumentParser(
         prog="jring",
         description="Exact computations in the ring of Atiyah-Segal "

@@ -240,8 +240,8 @@ def chern_coefficients(
     Keyed by the exponent vector (b2, ..., bl); the value is exactly the
     basis polynomial labelled (0, b2, ..., bl).
     """
-    if ell < 2:
-        raise ValueError("need ell >= 2")
+    if ell < 2 or max_degree < ell:
+        raise ValueError("need max_degree >= ell >= 2")
     out: dict[tuple[int, ...], XPolynomial] = {}
     for n in range(ell, max_degree + 1):
         for beta in enumerate_compositions(n, ell, first=0):
@@ -287,6 +287,8 @@ def lift_exp(f: XPolynomial, max_degree: int) -> XPolynomial:
         raise ValueError("lift_exp needs positive degree")
     if not derivation_d(f).is_zero():
         raise ValueError("lift_exp needs an invariant polynomial (d f = 0)")
+    if max_degree < n:
+        raise ValueError("max_degree below the degree of the polynomial")
     out = XPolynomial.zero()
     lengths = {len(lam) for lam in f.terms}
     for ell in lengths:

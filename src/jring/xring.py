@@ -3,8 +3,10 @@
 A monomial x_{l_1} x_{l_2} ... is keyed by its partition (l_1 >= l_2 >= ...),
 so commutativity is built into the representation.  deg(x_i) = i; the degree
 of a term is the weight of its partition, the length is its number of parts.
-Coefficients are exact rationals (Fraction), so the same type carries both
-the integral basis polynomials and the exp-style lifts with denominators.
+Coefficients are exact: an integral coefficient is stored as an int, any
+other as a Fraction with denominator > 1.  The integral basis polynomials
+therefore do plain int arithmetic, and only the exp-style lifts carry
+denominators.
 """
 
 from __future__ import annotations
@@ -23,16 +25,22 @@ class XPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping[Partition, Coeff]] = None):
-        clean: dict[Partition, Fraction] = {}
+        clean: dict[Partition, Coeff] = {}
         if terms:
             for lam, c in terms.items():
-                c = Fraction(c)
+                if not isinstance(c, (int, Fraction)):
+                    c = Fraction(c)
                 if c != 0:
                     key = tuple(sorted(lam, reverse=True))
                     if any(p < 1 for p in key):
                         raise ValueError(f"bad monomial index {lam}")
-                    clean[key] = clean.get(key, Fraction(0)) + c
-        self.terms = {k: v for k, v in clean.items() if v != 0}
+                    clean[key] = clean.get(key, 0) + c
+        # canonical coefficients: int when integral, else Fraction
+        self.terms = {
+            k: v if type(v) is int or v.denominator > 1 else v.numerator
+            for k, v in clean.items()
+            if v != 0
+        }
 
     # -- constructors ------------------------------------------------------
 
@@ -57,7 +65,7 @@ class XPolynomial:
     def __add__(self, other: "XPolynomial") -> "XPolynomial":
         out = dict(self.terms)
         for lam, c in other.terms.items():
-            out[lam] = out.get(lam, Fraction(0)) + c
+            out[lam] = out.get(lam, 0) + c
         return XPolynomial(out)
 
     def __sub__(self, other: "XPolynomial") -> "XPolynomial":
@@ -67,15 +75,14 @@ class XPolynomial:
         return XPolynomial({lam: -c for lam, c in self.terms.items()})
 
     def __mul__(self, other: "XPolynomial") -> "XPolynomial":
-        out: dict[Partition, Fraction] = {}
+        out: dict[Partition, Coeff] = {}
         for lam1, c1 in self.terms.items():
             for lam2, c2 in other.terms.items():
                 key = tuple(sorted(lam1 + lam2, reverse=True))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return XPolynomial(out)
 
     def scale(self, c: Coeff) -> "XPolynomial":
-        c = Fraction(c)
         return XPolynomial({lam: c * v for lam, v in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
@@ -94,8 +101,8 @@ class XPolynomial:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
 
-    def coefficient(self, lam: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(sorted(lam, reverse=True)), Fraction(0))
+    def coefficient(self, lam: Iterable[int]) -> Coeff:
+        return self.terms.get(tuple(sorted(lam, reverse=True)), 0)
 
     def degrees(self) -> set[int]:
         return {sum(lam) for lam in self.terms}
@@ -106,7 +113,7 @@ class XPolynomial:
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
 
-    def sorted_terms(self) -> list[tuple[Partition, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Partition, Coeff]]:
         """Terms by increasing degree then increasing lex on the partition."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
@@ -122,7 +129,7 @@ class XPolynomial:
 
 def derivation_d(p: XPolynomial) -> XPolynomial:
     """Leibniz extension of d x_1 = 0, d x_i = x_{i-1}; lowers degree by 1."""
-    out: dict[Partition, Fraction] = {}
+    out: dict[Partition, Coeff] = {}
     for lam, c in p.terms.items():
         for idx in range(len(lam)):
             if lam[idx] >= 2 and (idx == 0 or lam[idx - 1] != lam[idx]):
@@ -130,13 +137,13 @@ def derivation_d(p: XPolynomial) -> XPolynomial:
                 key = tuple(
                     sorted(lam[:idx] + (lam[idx] - 1,) + lam[idx + 1:], reverse=True)
                 )
-                out[key] = out.get(key, Fraction(0)) + mult * c
+                out[key] = out.get(key, 0) + mult * c
     return XPolynomial(out)
 
 
 def derivation_delta(p: XPolynomial) -> XPolynomial:
     """Leibniz extension of delta x_i = i x_{i+1}; raises degree by 1."""
-    out: dict[Partition, Fraction] = {}
+    out: dict[Partition, Coeff] = {}
     for lam, c in p.terms.items():
         for idx in range(len(lam)):
             if idx == 0 or lam[idx - 1] != lam[idx]:
@@ -144,7 +151,7 @@ def derivation_delta(p: XPolynomial) -> XPolynomial:
                 key = tuple(
                     sorted(lam[:idx] + (lam[idx] + 1,) + lam[idx + 1:], reverse=True)
                 )
-                out[key] = out.get(key, Fraction(0)) + mult * lam[idx] * c
+                out[key] = out.get(key, 0) + mult * lam[idx] * c
     return XPolynomial(out)
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from jring.cli import (
+    build_parser,
     main,
     parse_beta,
     render_combination,
@@ -157,6 +158,10 @@ def test_relations_command(capsys):
         (["dims", "--max-n", "0"], "dims needs --max-n >= 1"),
         (["generators", "--max-n", "0"], "generators needs --max-n >= 1"),
         (["verify", "--max-n", "0"], "verify needs --max-n >= 1"),
+        (
+            ["chern", "--ell", "3", "--max-degree", "2"],
+            "need max_degree >= ell >= 2",
+        ),
     ],
 )
 def test_sizes_below_one_are_refused(capsys, argv, message):
@@ -203,3 +208,42 @@ def test_domain_error_exits_2(capsys):
     code = main(["lift", "0,2", "--max-degree", "2"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("method", ["tilde", "exp"])
+@pytest.mark.parametrize("max_degree", ["1", "-5"])
+def test_lift_methods_refuse_degree_below_the_label(capsys, method, max_degree):
+    argv = ["lift", "0,2", "--max-degree", max_degree, "--method", method]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "jring: max_degree below the degree of the polynomial\n"
+
+
+# ---------------------------------------------------------------------------
+# one parser is shared by every main() call in a process
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys):
+    code, out = run(capsys, "poly", "0,2", "--format", "latex")
+    assert (code, out.strip()) == (0, "x_2^2 - 2 x_1x_3")
+    code, out = run(capsys, "poly", "0,2")
+    assert (code, out.strip()) == (0, "x2^2 - 2*x1*x3")
+
+    # the --ell / --k group is mutually exclusive: neither may stay set
+    code, out = run(capsys, "chern", "--k=2,-1", "--max-degree", "2")
+    assert (code, out.strip()) == (0, "-2*x1^2")
+    code, out = run(capsys, "chern", "--ell", "2", "--max-degree", "4")
+    assert code == 0
+    assert out.splitlines() == ["e2: x1^2", "e2^2: x2^2 - 2*x1*x3"]
+
+    with pytest.raises(SystemExit) as exc:
+        main(["poly", "2,0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out = run(capsys, "product", "0,2", "0,2")
+    assert (code, out.strip()) == (0, "2*g(0,2,0,1) + 1*g(0,0,0,2)")

@@ -2,7 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jring.combinatorics import enumerate_compositions, weight
+from jring.invariants import g_poly, lift_exp
 from jring.xring import (
     XPolynomial,
     derivation_d,
@@ -145,3 +149,76 @@ def test_rational_coefficients_round_trip():
     assert not p.is_integral()
     assert p.scale(4).is_integral()
     assert p.coefficient((2, 2)) == Fraction(1, 4)
+
+
+# ---------------------------------------------------------------------------
+# canonical coefficient type: int when integral, Fraction otherwise
+
+INTS = st.integers(-6, 6)
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# unsorted tuples on purpose: the constructor sorts and merges equal keys
+MONOMIALS = st.lists(st.integers(1, 5), max_size=4).map(tuple)
+
+
+def polys(coeffs):
+    return st.dictionaries(MONOMIALS, coeffs, max_size=5).map(XPolynomial)
+
+
+ANY_POLYS = st.one_of(polys(INTS), polys(RATIONALS))
+B0_LABELS = [
+    beta
+    for n in range(2, 7)
+    for ell in range(2, n + 1)
+    for beta in enumerate_compositions(n, ell, first=0)
+]
+
+
+def assert_canonical(p):
+    for c in p.terms.values():
+        assert type(c) is int or c.denominator > 1, (c, type(c))
+
+
+def test_integral_fractions_are_stored_as_int():
+    half = XPolynomial({(1,): Fraction(1, 2), (2,): Fraction(4, 2)})
+    assert half.terms == {(1,): Fraction(1, 2), (2,): 2}
+    assert type(half.terms[(2,)]) is int
+    assert type((half + half).coefficient((1,))) is int
+    assert type(half.scale(Fraction(2)).coefficient((1,))) is int
+    assert type(XPolynomial.zero().coefficient((3,))) is int
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(ANY_POLYS, ANY_POLYS, RATIONALS)
+def test_ring_operations_keep_coefficients_canonical(p, q, s):
+    assert_canonical(p)
+    for r in (
+        p + q,
+        p - q,
+        p * q,
+        p.scale(s),
+        derivation_d(p),
+        derivation_delta(q),
+    ):
+        assert_canonical(r)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    st.sampled_from(B0_LABELS),
+    RATIONALS.filter(lambda s: s != 0),
+    st.integers(0, 3),
+)
+def test_lift_exp_keeps_coefficients_canonical(beta, s, extra):
+    assert_canonical(lift_exp(g_poly(beta).scale(s), weight(beta) + extra))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.dictionaries(MONOMIALS, RATIONALS, max_size=5))
+def test_equality_and_hash_ignore_int_or_fraction_input(terms):
+    as_given = XPolynomial(terms)
+    as_int = XPolynomial(
+        {lam: int(c) if c.denominator == 1 else c for lam, c in terms.items()}
+    )
+    assert as_given == as_int
+    assert hash(as_given) == hash(as_int)
+    assert_canonical(as_given)
