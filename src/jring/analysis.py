@@ -1,9 +1,9 @@
 """Independent verification and exploration of the invariant ring.
 
-Re-derives the kernel of the lowering derivation by exact, fraction-free
-integer elimination, tabulates dimensions two independent ways, expands the
-closed-form Poincare series, and searches for algebra generators and their
-relations.
+Re-derives the kernel of the lowering derivation by exact, sparse,
+fraction-free integer elimination, tabulates dimensions two independent ways,
+expands the closed-form Poincare series, and searches for algebra generators
+and their relations.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import invariants, symfun
 from .combinatorics import (
@@ -33,79 +33,154 @@ from .xring import XPolynomial, derivation_d
 # Exact integer linear algebra
 
 Row = list[int]
+SparseRow = dict[int, int]  # column -> nonzero entry
 
 
-def _primitive(row: Row) -> Row:
-    # divide by the content, making the first nonzero entry positive
-    g = gcd(*row)
-    if g == 0:
-        return row
-    if next(x for x in row if x) < 0:
+def _is_dense(rows: Sequence) -> bool:
+    # rows are dense lists unless they are dicts; no rows count as sparse
+    return bool(rows) and not isinstance(rows[0], dict)
+
+
+def _sparse(row: Sequence[int]) -> SparseRow:
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def _primitive(row: SparseRow) -> SparseRow:
+    # divide by the content, making the entry in the first column positive
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
         g = -g
-    return [x // g for x in row]
+    return row if g == 1 else {c: x // g for c, x in row.items()}
 
 
-def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
+def _cancel(row: SparseRow, pivot_row: SparseRow, c: int) -> None:
+    # row <- p*row - q*pivot_row, with p > 0 and q coprime, so that column c
+    # cancels; entries that cancel are deleted
+    g = gcd(pivot_row[c], row[c])
+    p, q = pivot_row[c] // g, row[c] // g
+    if p != 1:
+        for k in row:
+            row[k] *= p
+    for k, x in pivot_row.items():
+        y = row.get(k, 0) - q * x
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
+def rref(rows: Sequence) -> tuple[list, list[int]]:
     """Reduced row echelon form over Z; returns (rows, pivot columns).
 
-    Fraction-free Gauss-Jordan elimination: a row is only ever replaced by
-    an integer combination of itself and the pivot row, divided by its
-    content.  Each returned row is primitive, with a positive pivot and zeros
-    in the other pivot columns: the primitive integer multiple of the
-    reduced row over Q.
+    Sparse, fraction-free Gauss-Jordan elimination.  Rows are dense integer
+    lists or sparse {column: entry} dicts, and the result rows take the form
+    of the input.  Each input row, sparsest first, is cancelled against the
+    pivot rows at its first column (a row is only ever replaced by an
+    integer combination of itself and a pivot row) until it starts a new
+    pivot, which is made primitive; one back-reduction at the end clears the
+    other pivot columns.  Each returned row is primitive, with a positive
+    pivot and zeros in the other pivot columns: the primitive integer
+    multiple of the reduced row over Q, which is unique, so the order in
+    which the rows are taken does not matter.
     """
-    rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        live = [i for i in range(r, len(rows)) if rows[i][c]]
-        if not live:
-            continue
-        # the smallest pivot keeps the entries tame
-        best = min(live, key=lambda i: abs(rows[i][c]))
-        rows[r], rows[best] = rows[best], rows[r]
-        pivot_row = rows[r] = _primitive(rows[r])
-        piv = pivot_row[c]
-        for i, row in enumerate(rows):
-            a = row[c]
-            if a and i != r:
-                g = gcd(piv, a)
-                p, q = piv // g, a // g
-                rows[i] = _primitive(
-                    [p * x - q * y for x, y in zip(row, pivot_row)]
-                )
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    dense = _is_dense(rows)
+    work = [
+        _sparse(r) if dense else {c: x for c, x in r.items() if x}
+        for r in rows
+    ]
+    by_pivot: dict[int, SparseRow] = {}
+    for row in sorted(work, key=len):
+        while row:
+            c = min(row)
+            pivot_row = by_pivot.get(c)
+            if pivot_row is None:
+                by_pivot[c] = _primitive(row)
+                break
+            _cancel(row, pivot_row, c)
+    pivots = sorted(by_pivot)
+    # back-reduction from the last pivot up: the rows cancelled against are
+    # already reduced, so they bring no new entries into pivot columns
+    for pc in reversed(pivots):
+        row = by_pivot[pc]
+        hits = [c for c in row if c != pc and c in by_pivot]
+        for c in hits:
+            _cancel(row, by_pivot[c], c)
+        if hits:
+            by_pivot[pc] = _primitive(row)
+    reduced = [by_pivot[pc] for pc in pivots]
+    if dense:
+        ncols = len(rows[0])
+        reduced = [[row.get(c, 0) for c in range(ncols)] for row in reduced]
+    return reduced, pivots
 
 
-def nullspace(rows: list[Row], ncols: int) -> list[Row]:
-    """Integer basis of {v : A v = 0}, one vector per non-pivot column."""
+def _rows_of(columns: Iterable[Mapping]) -> list[SparseRow]:
+    # the sparse rows of the matrix with these sparse columns; a row's key
+    # in a column only has to match across columns, and rows that would be
+    # zero are left out (neither changes the row space)
+    rows: dict = {}
+    for j, column in enumerate(columns):
+        for i, x in column.items():
+            rows.setdefault(i, {})[j] = x
+    return list(rows.values())
+
+
+def rank(rows: Sequence) -> int:
+    """Rank over Q of dense or sparse integer rows."""
+    return len(rref(rows)[1])
+
+
+def nullspace(rows: Sequence, ncols: int) -> list:
+    """Integer basis of {v : A v = 0}, one primitive vector per free column.
+
+    The vectors are dense lists or sparse dicts, like the rows of A.
+    """
     red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    scale = lcm(*(row[pc] for row, pc in zip(red, pivots)))
-    basis: list[Row] = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = scale
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc] * scale // row[pc]
-        basis.append(_primitive(v))
+    dense = _is_dense(rows)
+    if dense:
+        red = [_sparse(row) for row in red]
+    pivot_set = set(pivots)
+    # for each free column, the (pivot column, entry, pivot) of each reduced
+    # row that has an entry there
+    meets: dict[int, list[tuple[int, int, int]]] = {
+        fc: [] for fc in range(ncols) if fc not in pivot_set
+    }
+    for row, pc in zip(red, pivots):
+        for c, x in row.items():
+            if c != pc:
+                meets[c].append((pc, x, row[pc]))
+    basis: list = []
+    for fc, entries in meets.items():
+        scale = lcm(*(piv for _, _, piv in entries))
+        v = {fc: scale}
+        for pc, x, piv in entries:
+            v[pc] = -x * scale // piv
+        v = _primitive(v)
+        basis.append([v.get(c, 0) for c in range(ncols)] if dense else v)
     return basis
 
 
-def in_span(vector: Row, basis: list[Row]) -> bool:
+def in_span(vector, basis: Sequence) -> bool:
     """True iff vector is a rational linear combination of the basis rows.
 
     That is, iff appending it to the rows leaves the rank unchanged.
     """
-    return len(rref(list(basis) + [vector])[1]) == len(rref(basis)[1])
+    return rank(list(basis) + [vector]) == rank(basis)
 
 
 # ---------------------------------------------------------------------------
 # Kernel of the derivation
+
+
+def _derivation_columns(n: int, ell: int) -> list[SparseRow]:
+    # column j of the matrix of d on the (n, ell) slice: d of the j-th
+    # monomial over the (n - 1, ell) partitions, at most ell entries
+    cod_pos = {mu: i for i, mu in enumerate(enumerate_partitions(n - 1, ell))}
+    columns = []
+    for lam in enumerate_partitions(n, ell):
+        image = derivation_d(XPolynomial.monomial(lam))
+        columns.append({cod_pos[mu]: c for mu, c in image.terms.items()})
+    return columns
 
 
 def kernel_basis(n: int, ell: int) -> list[XPolynomial]:
@@ -113,18 +188,11 @@ def kernel_basis(n: int, ell: int) -> list[XPolynomial]:
     if n < 1 or ell < 1:
         raise ValueError("need n >= 1 and ell >= 1")
     domain = enumerate_partitions(n, ell)
-    codomain = enumerate_partitions(n - 1, ell)
-    if not domain:
-        return []
-    cod_pos = {lam: i for i, lam in enumerate(codomain)}
-    rows = [[0] * len(domain) for _ in codomain]
-    for j, lam in enumerate(domain):
-        for mu, c in derivation_d(XPolynomial.monomial(lam)).terms.items():
-            rows[cod_pos[mu]][j] += c
+    rows = _rows_of(_derivation_columns(n, ell))
     # canonical form: echelonize the kernel basis itself
     vectors, _ = rref(nullspace(rows, len(domain)))
     return [
-        XPolynomial({lam: c for lam, c in zip(domain, v) if c != 0})
+        XPolynomial({domain[j]: c for j, c in sorted(v.items())})
         for v in vectors
     ]
 
@@ -146,7 +214,8 @@ def dimension_table(n_max: int) -> DimensionTable:
     """Kernel dimensions computed two independent ways and cross-checked.
 
     Counting method: |B_n^(l)(0)|.  Rank method: columns minus rank of the
-    matrix of d on the (n, l) monomial slice.
+    matrix of d on the (n, l) monomial slice, by sparse, fraction-free
+    elimination of its columns.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
@@ -156,7 +225,8 @@ def dimension_table(n_max: int) -> DimensionTable:
         row = []
         for ell in range(1, n + 1):
             by_count = len(enumerate_compositions(n, ell, first=0))
-            by_rank = len(kernel_basis(n, ell))
+            columns = _derivation_columns(n, ell)
+            by_rank = len(columns) - rank(columns)
             if by_count != by_rank:
                 raise RuntimeError(
                     f"dimension mismatch at (n={n}, ell={ell}): "
@@ -332,7 +402,8 @@ def _monomials_of_weight(
             if len(acc) >= 1:
                 out.append(tuple(acc))
             return
-        if idx == len(gens):
+        # the weights never decrease, so nothing after a too-heavy one fits
+        if idx == len(gens) or weights[idx] > remaining:
             return
         w = weights[idx]
         max_copies = remaining // w
@@ -361,21 +432,10 @@ def find_relations(
     polynomials is zero.
     """
     monomials = _monomials_of_weight(generators, degree)
-    if not monomials:
-        return []
-    basis = [
-        beta
-        for ell in range(1, degree + 1)
-        for beta in enumerate_compositions(degree, ell, first=0)
-    ]
-    pos = {beta: i for i, beta in enumerate(basis)}
-    # rows of the system are indexed by basis labels, columns by monomials
-    rows = [[0] * len(monomials) for _ in basis]
-    for j, mono in enumerate(monomials):
-        for beta, c in evaluate_monomial(mono).items():
-            rows[pos[beta]][j] = c
+    # one column per monomial: its product over the B(0) labels
+    rows = _rows_of(evaluate_monomial(mono) for mono in monomials)
     kernel, _ = rref(nullspace(rows, len(monomials)))
-    return [{m: c for m, c in zip(monomials, v) if c != 0} for v in kernel]
+    return [{monomials[j]: c for j, c in sorted(v.items())} for v in kernel]
 
 
 def relation_vector(

@@ -437,6 +437,14 @@ def run_verification(max_n: int) -> list[tuple[str, bool]]:
             series[n] == table.totals[n] for n in range(1, max_n + 1)
         )
         results.append(("Poincare series matches dimension totals", ok))
+        rows = analysis.poincare_series_bivariate(max_n)
+        ok = all(
+            rows[n] == {ell: d for ell, d in enumerate(table.dims[n], 1) if d}
+            for n in range(1, max_n + 1)
+        )
+        results.append(
+            ("dimension table matches bivariate Poincare series row by row", ok)
+        )
 
     ok = True
     for n in range(1, max_n + 1):

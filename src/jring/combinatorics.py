@@ -9,6 +9,7 @@ tuples of positive integers.  Both are plain tuples of ints throughout.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterator, Optional
 
 Composition = tuple[int, ...]
@@ -74,8 +75,15 @@ def dominance_leq(lam: Partition, mu: Partition) -> bool:
 
 
 def leading_partition(beta: Composition) -> Partition:
-    """Conjugate of to_partition(beta): index of the leading monomial of g_beta."""
-    return conjugate(to_partition(beta))
+    """Conjugate of to_partition(beta): index of the leading monomial of g_beta.
+
+    Its parts are the nonzero suffix sums lam'_j = beta_j + ... + beta_l.
+    """
+    parts = list(accumulate(reversed(beta)))
+    parts.reverse()
+    while parts and not parts[-1]:
+        parts.pop()
+    return tuple(parts)
 
 
 def composition_sort_key(beta: Composition):
@@ -127,13 +135,15 @@ def enumerate_partitions(n: int, ell: int) -> list[Partition]:
             if remaining == 0:
                 results.append(tuple(acc))
             return
-        # each remaining part is between 1 and max_part
-        for p in range(min(max_part, remaining - (parts_left - 1)), 0, -1):
-            if remaining - p >= parts_left - 1:
-                rec(remaining - p, parts_left - 1, p, acc + [p])
+        # the next part is at most max_part, leaves at least 1 for each part
+        # after it, and is at least their average
+        top = min(max_part, remaining - (parts_left - 1))
+        low = max(1, -(-remaining // parts_left))
+        for p in range(top, low - 1, -1):
+            rec(remaining - p, parts_left - 1, p, acc + [p])
 
-    if ell == 0:
-        return [()] if n == 0 else []
+    if ell <= 0:
+        return [()] if n == ell == 0 else []
     rec(n, ell, n, [])
     results.sort(key=partition_sort_key)
     return results

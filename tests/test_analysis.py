@@ -20,7 +20,7 @@ from jring.analysis import (
     relation_in_span,
     rref,
 )
-from jring.combinatorics import enumerate_compositions
+from jring.combinatorics import enumerate_compositions, weight
 from jring.invariants import g_poly, realize
 from jring.xring import XPolynomial, derivation_d
 
@@ -113,6 +113,89 @@ def test_integer_elimination_matches_rational_oracle(system):
     )
 
 
+@st.composite
+def sparse_system(draw):
+    # up to 25 x 30 with about 15% nonzero entries, so that entries cancel
+    # and are deleted during elimination; zero columns, zero rows, repeated
+    # and scaled rows, and the empty matrix are all drawn
+    rng = draw(st.randoms(use_true_random=False))
+    ncols = draw(st.integers(1, 30))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=4))
+    rows = [
+        [
+            rng.choice([-1, 1]) * rng.randint(1, 9)
+            if c not in zero_cols and rng.random() < 0.15
+            else 0
+            for c in range(ncols)
+        ]
+        for _ in range(draw(st.integers(0, 20)))
+    ]
+    if rows:
+        copies = draw(
+            st.lists(
+                st.tuples(st.sampled_from(rows), st.integers(-3, 3)),
+                max_size=5,
+            )
+        )
+        rows += [[k * x for x in r] for r, k in copies]
+    rows += [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
+    rng.shuffle(rows)
+    weights = [rng.randint(-2, 2) for _ in rows]
+    combination = [
+        sum(w * r[c] for w, r in zip(weights, rows)) for c in range(ncols)
+    ]
+    arbitrary = [
+        rng.randint(-3, 3) if rng.random() < 0.15 else 0 for _ in range(ncols)
+    ]
+    return rows, ncols, draw(st.sampled_from([combination, arbitrary]))
+
+
+def _dense(v, ncols):
+    return [v.get(c, 0) for c in range(ncols)] if isinstance(v, dict) else v
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(sparse_system())
+def test_sparse_elimination_matches_rational_oracle(system):
+    rows, ncols, vector = system
+    sparse_rows = [{c: x for c, x in enumerate(r) if x} for r in rows]
+    q_red, q_pivots = rational_rref_oracle.rref(_rational(rows))
+    for given_rows in (rows, sparse_rows):
+        red, pivots = rref(given_rows)
+        assert pivots == q_pivots
+        assert len(red) == len(q_red)
+        for row, q_row, pc in zip(red, q_red, pivots):
+            row = _dense(row, ncols)
+            assert all(type(x) is int for x in row)
+            assert row[pc] > 0 and gcd(*row) == 1
+            assert [Fraction(x) for x in row] == [row[pc] * y for y in q_row]
+        kernel = [_dense(v, ncols) for v in nullspace(given_rows, ncols)]
+        free = [c for c in range(ncols) if c not in pivots]
+        assert len(kernel) == len(free)
+        for fc, v in zip(free, kernel):
+            assert gcd(*v) == 1
+            # independent: on the free columns the vectors are diagonal
+            assert [c for c in free if v[c]] == [fc]
+            for row in rows:
+                assert sum(a * b for a, b in zip(row, v)) == 0
+    want = rational_rref_oracle.in_span(
+        [Fraction(x) for x in vector], _rational(rows)
+    )
+    assert in_span(vector, rows) == want
+    sparse_vector = {c: x for c, x in enumerate(vector) if x}
+    assert in_span(sparse_vector, sparse_rows) == want
+
+
+def test_empty_system():
+    assert rref([]) == ([], [])
+    assert [_dense(v, 3) for v in nullspace([], 3)] == [
+        [1, 0, 0],
+        [0, 1, 0],
+        [0, 0, 1],
+    ]
+    assert in_span({}, []) and not in_span({1: 2}, [])
+
+
 # ---------------------------------------------------------------------------
 # kernel of the derivation
 
@@ -197,14 +280,16 @@ def test_single_length_series_matches_cell_dimensions():
 
 
 def test_bivariate_series():
-    rows = poincare_series_bivariate(12)
-    table = dimension_table(12)
-    for n in range(1, 13):
+    # the rank route of dimension_table, row by row, well past the
+    # published rows
+    rows = poincare_series_bivariate(24)
+    table = dimension_table(24)
+    for n in range(1, 25):
         for ell in range(1, n + 1):
             assert rows[n].get(ell, 0) == table.cell(n, ell)
     # setting the length variable to 1 recovers the total series
-    total = poincare_series(12)
-    for n in range(1, 13):
+    total = poincare_series(24)
+    for n in range(1, 25):
         assert sum(rows[n].values()) == total[n]
 
 
@@ -262,6 +347,25 @@ def test_two_relations_in_degree_twelve():
         for mono, c in rel.items():
             total = total + realize(evaluate_monomial(mono)).scale(c)
         assert total.is_zero()
+
+
+@pytest.mark.parametrize("degree", [12, 18, 22])
+def test_monomials_of_weight_lists_each_product_once_in_order(degree):
+    gens = generator_candidates(degree)
+    monomials = _monomials_of_weight(gens, degree)
+    # as many as the coefficient of t^degree in prod 1/(1 - t^weight)
+    series = [1] + [0] * degree
+    for g in gens:
+        for m in range(weight(g), degree + 1):
+            series[m] += series[m - weight(g)]
+    assert len(monomials) == series[degree]
+    # each a sorted multiset of the right weight, listed with the copy
+    # counts in strictly decreasing lexicographic order
+    copies = [tuple(m.count(g) for g in gens) for m in monomials]
+    for m, counts in zip(monomials, copies):
+        assert m == tuple(g for g, k in zip(gens, counts) for _ in range(k))
+        assert sum(weight(g) for g in m) == degree
+    assert copies == sorted(set(copies), reverse=True)
 
 
 # Relation counts in degrees 1..18.  No published table goes this far; the

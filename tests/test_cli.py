@@ -9,7 +9,7 @@ from jring.cli import (
     render_combination,
     render_polynomial,
 )
-from jring import invariants
+from jring import analysis, invariants
 from jring.invariants import g_poly
 
 
@@ -175,8 +175,26 @@ def test_verify_command(capsys):
     code, out = run(capsys, "verify", "--max-n", "4")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 7
     assert all(line.startswith("PASS") for line in lines)
+    name = "dimension table matches bivariate Poincare series row by row"
+    assert f"PASS  {name}" in lines
+
+
+def test_verify_reports_a_bivariate_row_that_differs(capsys, monkeypatch):
+    series = analysis.poincare_series_bivariate
+
+    def shifted(order):
+        rows = series(order)
+        rows[3][2] = rows[3].get(2, 0) + 1
+        return rows
+
+    monkeypatch.setattr(analysis, "poincare_series_bivariate", shifted)
+    code, out = run(capsys, "verify", "--max-n", "4")
+    assert code == 1
+    name = "dimension table matches bivariate Poincare series row by row"
+    assert f"FAIL  {name}" in out.splitlines()
+    assert out.count("FAIL") == 1
 
 
 def test_invalid_beta_exits_2(capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jring.combinatorics import (
     EMPTY,
@@ -48,6 +50,24 @@ def test_first_slices_partition_the_index_set():
                 pieces.extend(enumerate_compositions(n, ell, first=i))
             assert sorted(pieces) == sorted(whole)
             assert len(set(pieces)) == len(pieces)
+
+
+def test_enumerate_partitions_counts_and_degenerate_sizes():
+    # p(n, k) = p(n - 1, k - 1) + p(n - k, k): a part 1, or all parts >= 2
+    count = {(0, 0): 1}
+    for n in range(1, 31):
+        for k in range(1, n + 1):
+            count[n, k] = count.get((n - 1, k - 1), 0) + count.get((n - k, k), 0)
+            lams = enumerate_partitions(n, k)
+            assert len(lams) == count[n, k] == len(set(lams))
+            assert all(
+                len(lam) == k and sum(lam) == n and lam[-1] >= 1
+                and list(lam) == sorted(lam, reverse=True)
+                for lam in lams
+            )
+    assert enumerate_partitions(0, 0) == [()]
+    for n, k in [(0, 1), (3, 0), (2, 3), (3, -1), (0, -2)]:
+        assert enumerate_partitions(n, k) == []
 
 
 @pytest.mark.parametrize(
@@ -137,3 +157,24 @@ def test_canonical_order_extends_dominance():
             for i, a in enumerate(leads):
                 for b in leads[i + 1:]:
                     assert not dominance_leq(a, b) or a == b
+
+
+def test_leading_partition_is_the_conjugate_on_every_label():
+    for n in range(1, 19):
+        for ell in range(1, n + 1):
+            for beta in enumerate_compositions(n, ell):
+                assert leading_partition(beta) == conjugate(to_partition(beta))
+    # trailing zeros add no part, as in (0,) + EMPTY
+    for beta in (EMPTY, (0,), (0, 0), (2, 1, 0)):
+        assert leading_partition(beta) == conjugate(to_partition(beta))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.lists(st.integers(0, 6), max_size=14).map(tuple),
+    st.integers(1, 6),
+)
+def test_leading_partition_is_the_conjugate_on_drawn_labels(head, last):
+    # drawn labels, admissible and with trailing zeros
+    for beta in (head + (last,), head):
+        assert leading_partition(beta) == conjugate(to_partition(beta))
