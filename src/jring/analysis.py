@@ -26,7 +26,7 @@ from .combinatorics import (
     composition_sort_key,
     weight,
 )
-from .xring import XPolynomial, derivation_d
+from .xring import XPolynomial
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +172,28 @@ def in_span(vector, basis: Sequence) -> bool:
 # Kernel of the derivation
 
 
-def _derivation_columns(n: int, ell: int) -> list[SparseRow]:
-    # column j of the matrix of d on the (n, ell) slice: d of the j-th
-    # monomial over the (n - 1, ell) partitions, at most ell entries
-    cod_pos = {mu: i for i, mu in enumerate(enumerate_partitions(n - 1, ell))}
+def _derivation_columns(
+    domain: Sequence[Partition], codomain: Sequence[Partition]
+) -> list[SparseRow]:
+    # column j of the matrix of d from the (n, ell) monomials in domain to
+    # the (n - 1, ell) ones in codomain.  As in xring.derivation_d, d x_lam
+    # lowers one part v >= 2 of each block of equal parts, with coefficient
+    # the size of the block; lowering the last part of the block keeps the
+    # tuple sorted.  Parts are weakly decreasing, so the scan stops at the
+    # first part below 2.
+    cod_pos = {mu: i for i, mu in enumerate(codomain)}
     columns = []
-    for lam in enumerate_partitions(n, ell):
-        image = derivation_d(XPolynomial.monomial(lam))
-        columns.append({cod_pos[mu]: c for mu, c in image.terms.items()})
+    for lam in domain:
+        column: SparseRow = {}
+        start = 0
+        while start < len(lam) and lam[start] >= 2:
+            v = lam[start]
+            end = start + 1
+            while end < len(lam) and lam[end] == v:
+                end += 1
+            column[cod_pos[lam[:end - 1] + (v - 1,) + lam[end:]]] = end - start
+            start = end
+        columns.append(column)
     return columns
 
 
@@ -188,7 +202,9 @@ def kernel_basis(n: int, ell: int) -> list[XPolynomial]:
     if n < 1 or ell < 1:
         raise ValueError("need n >= 1 and ell >= 1")
     domain = enumerate_partitions(n, ell)
-    rows = _rows_of(_derivation_columns(n, ell))
+    rows = _rows_of(
+        _derivation_columns(domain, enumerate_partitions(n - 1, ell))
+    )
     # canonical form: echelonize the kernel basis itself
     vectors, _ = rref(nullspace(rows, len(domain)))
     return [
@@ -221,11 +237,15 @@ def dimension_table(n_max: int) -> DimensionTable:
         raise ValueError("need n_max >= 1")
     dims: dict[int, list[int]] = {}
     totals: dict[int, int] = {}
+    # the partition lists of the previous degree, ell = 1..n, which are the
+    # codomains of d; each list is enumerated once
+    below: list[list[Partition]] = [[]]
     for n in range(1, n_max + 1):
         row = []
+        current = [enumerate_partitions(n, ell) for ell in range(1, n + 1)]
         for ell in range(1, n + 1):
             by_count = len(enumerate_compositions(n, ell, first=0))
-            columns = _derivation_columns(n, ell)
+            columns = _derivation_columns(current[ell - 1], below[ell - 1])
             by_rank = len(columns) - rank(columns)
             if by_count != by_rank:
                 raise RuntimeError(
@@ -235,6 +255,7 @@ def dimension_table(n_max: int) -> DimensionTable:
             row.append(by_count)
         dims[n] = row
         totals[n] = sum(row)
+        below = current + [[]]
     return DimensionTable(n_max, dims, totals)
 
 

@@ -450,16 +450,17 @@ def run_verification(max_n: int) -> list[tuple[str, bool]]:
     for n in range(1, max_n + 1):
         for ell in range(1, n + 1):
             tm = symfun.transition_matrix(n, ell)
+            matrix_rows: dict = {}
+            for (lam, beta2), m in tm.entries.items():
+                matrix_rows.setdefault(lam, {})[beta2] = m
             for beta in tm.compositions:
-                exp = symfun.expand_elementary_product(beta, ell)
-                for beta2 in tm.compositions:
-                    want = 1 if beta == beta2 else 0
-                    got = sum(
-                        exp.get(lam, 0) * tm.entry(lam, beta2)
-                        for lam in tm.partitions
-                    )
-                    if got != want:
-                        ok = False
+                # row beta of E M, summed over the nonzero terms of e^beta
+                got: dict = {}
+                for lam, c in symfun.expand_elementary_product(beta, ell).items():
+                    for beta2, m in matrix_rows.get(lam, {}).items():
+                        got[beta2] = got.get(beta2, 0) + c * m
+                if {b: x for b, x in got.items() if x} != {beta: 1}:
+                    ok = False
     results.append(("expansion times transition matrix is identity", ok))
 
     ok = True

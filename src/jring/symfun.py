@@ -14,6 +14,11 @@ of each distinct part v with sum t_v = j, giving nu with coefficient
 prod_v C(mult_nu(v + 1), t_v), the number of ways to pick which parts of nu
 came from raising.  This is the 0-1 matrix count of the coefficients of
 e^beta (Macdonald, Symmetric Functions and Hall Polynomials, I.6).
+
+The labels of one (n, l) slice meet the same (mu, j) pairs many times, so a
+matrix build keeps one raise table, {j: {mu: terms of m_mu * e_j}}, filled
+as pairs first occur and shared by every label of the slice.  The table is
+local to the build: nothing is cached between builds.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 from .combinatorics import (
     Composition,
@@ -33,51 +39,72 @@ from .combinatorics import (
 )
 
 
+RaiseTable = dict[int, dict[Partition, list[tuple[Partition, int]]]]
+
+
+def _raise_terms(mu: Partition, j: int) -> list[tuple[Partition, int]]:
+    # the terms (nu, coefficient) of m_mu * e_j (mu weakly decreasing, zeros
+    # allowed); each partial is (parts of nu so far, coefficient, raises
+    # left, unraised copies of the previous value), extended one block of
+    # equal parts at a time
+    partial = [((), 1, j, 0)]
+    room = len(mu)
+    prev = None
+    for v in sorted(set(mu), reverse=True):
+        m = mu.count(v)
+        room -= m
+        step = []
+        for parts, coeff, left, kept in partial:
+            if prev != v + 1:
+                kept = 0
+            for t in range(max(0, left - room), min(m, left) + 1):
+                step.append((
+                    parts + (v + 1,) * t + (v,) * (m - t),
+                    coeff * math.comb(kept + t, t),
+                    left - t,
+                    m - t,
+                ))
+        partial = step
+        prev = v
+    return [(nu, coeff) for nu, coeff, _, _ in partial]
+
+
 def _times_elementary(
-    state: dict[Partition, int], j: int
+    state: dict[Partition, int], j: int, table: RaiseTable
 ) -> dict[Partition, int]:
-    # multiply sum_mu c_mu m_mu (mu weakly decreasing, zeros allowed) by e_j
+    # multiply sum_mu c_mu m_mu by e_j, generating the terms of m_mu * e_j
+    # only for the mu not yet in the table
+    raises = table.setdefault(j, {})
     out: dict[Partition, int] = {}
     for mu, c in state.items():
-        # (parts of nu so far, coefficient, raises left, unraised copies of
-        # the previous value), extended one block of equal parts at a time
-        partial = [((), c, j, 0)]
-        room = len(mu)
-        prev = None
-        for v in sorted(set(mu), reverse=True):
-            m = mu.count(v)
-            room -= m
-            step = []
-            for parts, coeff, left, kept in partial:
-                if prev != v + 1:
-                    kept = 0
-                for t in range(max(0, left - room), min(m, left) + 1):
-                    step.append((
-                        parts + (v + 1,) * t + (v,) * (m - t),
-                        coeff * math.comb(kept + t, t),
-                        left - t,
-                        m - t,
-                    ))
-            partial = step
-            prev = v
-        for nu, coeff, _, _ in partial:
-            out[nu] = out.get(nu, 0) + coeff
+        terms = raises.get(mu)
+        if terms is None:
+            terms = raises[mu] = _raise_terms(mu, j)
+        for nu, k in terms:
+            out[nu] = out.get(nu, 0) + c * k
     return out
 
 
-def expand_elementary_product(beta: Composition, ell: int) -> dict[Partition, int]:
+def expand_elementary_product(
+    beta: Composition, ell: int, table: Optional[RaiseTable] = None
+) -> dict[Partition, int]:
     """Coefficients of e^beta over the m_lambda basis in ell variables.
 
     Multiplies by e_1, ..., e_{l-1} in turn in partition space.  The
     e_l^{beta_l} factor is divided out first (it just shifts every part),
-    so every lambda that appears has exactly ell parts.
+    so every lambda that appears has exactly ell parts.  The terms of each
+    m_mu * e_j are read from the raise table, which is filled as needed; a
+    table may be shared by the labels of one (n, ell) slice, and without
+    one a fresh table is used.
     """
     if not is_composition(beta) or len(beta) != ell or ell < 1:
         raise ValueError(f"{beta} is not a valid index of length {ell}")
+    if table is None:
+        table = {}
     state: dict[Partition, int] = {(0,) * ell: 1}
     for j in range(1, ell):
         for _ in range(beta[j - 1]):
-            state = _times_elementary(state, j)
+            state = _times_elementary(state, j, table)
     shift = beta[-1]
     return {tuple(p + shift for p in mu): c for mu, c in state.items()}
 
@@ -140,8 +167,11 @@ def _build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
     compositions = enumerate_compositions(n, ell)
     if len(partitions) != len(compositions):
         raise RuntimeError(f"index sets out of sync at (n={n}, ell={ell})")
+    # one raise table for the whole slice, dropped with the build
+    table: RaiseTable = {}
     expansions = {
-        beta: expand_elementary_product(beta, ell) for beta in compositions
+        beta: expand_elementary_product(beta, ell, table)
+        for beta in compositions
     }
     pos = {lam: i for i, lam in enumerate(partitions)}
     lead_of = {beta: leading_partition(beta) for beta in compositions}

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jring.analysis import (
+    _derivation_columns,
     _monomials_of_weight,
     dimension_table,
     evaluate_monomial,
@@ -20,7 +21,11 @@ from jring.analysis import (
     relation_in_span,
     rref,
 )
-from jring.combinatorics import enumerate_compositions, weight
+from jring.combinatorics import (
+    enumerate_compositions,
+    enumerate_partitions,
+    weight,
+)
 from jring.invariants import g_poly, realize
 from jring.xring import XPolynomial, derivation_d
 
@@ -235,6 +240,20 @@ def test_kernel_basis_spans_the_invariant_slice():
                 g = g_poly(beta)
                 vec = [int(g.coefficient(lam)) for lam in keys]
                 assert in_span(vec, rows)
+
+
+def test_derivation_columns_match_derivation_d():
+    # every monomial with n <= 18: the column written directly equals d of
+    # the one-term polynomial, read through the codomain index
+    for n in range(1, 19):
+        for ell in range(1, n + 1):
+            domain = enumerate_partitions(n, ell)
+            codomain = enumerate_partitions(n - 1, ell)
+            columns = _derivation_columns(domain, codomain)
+            assert len(columns) == len(domain)
+            for lam, column in zip(domain, columns):
+                image = derivation_d(XPolynomial.monomial(lam))
+                assert {codomain[i]: c for i, c in column.items()} == image.terms
 
 
 def test_g_expansion_round_trip():

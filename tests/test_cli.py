@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -265,3 +269,23 @@ def test_shared_parser_carries_no_state_between_calls(capsys):
     capsys.readouterr()
     code, out = run(capsys, "product", "0,2", "0,2")
     assert (code, out.strip()) == (0, "2*g(0,2,0,1) + 1*g(0,0,0,2)")
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "jring", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    done = python_m("poly", "0,2")
+    code, out = run(capsys, "poly", "0,2")
+    assert done.returncode == code == 0
+    assert done.stdout == out
+    bad = python_m("poly", "0,x")
+    assert bad.returncode == 2
+    assert "jring" in bad.stderr

@@ -92,6 +92,43 @@ def test_transition_matrix_inverts_expansion():
                     assert got == (1 if beta == beta2 else 0)
 
 
+def test_shared_raise_table_matches_fresh_tables():
+    # expanding every label of a slice through one table, as a build does,
+    # gives what each label gives with a table of its own
+    for n in range(1, 15):
+        for ell in range(1, n + 1):
+            table = {}
+            for beta in enumerate_compositions(n, ell):
+                assert expand_elementary_product(
+                    beta, ell, table
+                ) == expand_elementary_product(beta, ell)
+
+
+@st.composite
+def slices(draw, max_n=20):
+    n = draw(st.integers(1, max_n))
+    return n, draw(st.integers(1, n))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(slices())
+def test_expansion_times_matrix_is_identity_on_drawn_slices(slice_):
+    # E M = I, summed over the nonzero terms of each expansion; the
+    # expansions share one raise table, taking the labels in reverse
+    n, ell = slice_
+    tm = transition_matrix(n, ell)
+    matrix_rows = {}
+    for (lam, beta2), m in tm.entries.items():
+        matrix_rows.setdefault(lam, {})[beta2] = m
+    table = {}
+    for beta in reversed(tm.compositions):
+        row = {}
+        for lam, c in expand_elementary_product(beta, ell, table).items():
+            for beta2, m in matrix_rows.get(lam, {}).items():
+                row[beta2] = row.get(beta2, 0) + c * m
+        assert {b: x for b, x in row.items() if x} == {beta: 1}
+
+
 def test_g_column_example():
     tm = transition_matrix(4, 2)
     assert tm.g_column((0, 2)) == {(2, 2): 1, (3, 1): -2}
