@@ -8,11 +8,8 @@ and their relations.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product as iproduct
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -352,45 +349,17 @@ def poincare_series_bivariate(order: int) -> list[dict[int, int]]:
 # Generators and relations
 
 
-def _is_leading_of_b0(lam: Partition) -> bool:
-    # leading partitions of nontrivial B(0) labels: (1), or lam_1 == lam_2
-    if lam == (1,):
-        return True
-    return len(lam) >= 2 and lam[0] == lam[1]
-
-
-def _proper_sub_multisets(lam: Partition) -> list[Partition]:
-    parts = sorted(set(lam), reverse=True)
-    mults = [lam.count(p) for p in parts]
-    subs: list[Partition] = []
-    for choice in iproduct(*(range(m + 1) for m in mults)):
-        sub = tuple(
-            p for p, c in zip(parts, choice) for _ in range(c)
-        )
-        if sub and sub != lam:
-            subs.append(sub)
-    return subs
-
-
-@lru_cache(maxsize=None)
-def _decomposable(lam: Partition) -> bool:
-    # can lam be written as a multiset union of >= 1 B(0) leading partitions?
-    if _is_leading_of_b0(lam):
-        return True
-    return _splits_properly(lam)
-
-
-@lru_cache(maxsize=None)
 def _splits_properly(lam: Partition) -> bool:
-    # union of >= 2 leading partitions, each of strictly smaller weight
-    for mu in _proper_sub_multisets(lam):
-        if not _is_leading_of_b0(mu):
-            continue
-        rest = Counter(lam) - Counter(mu)
-        remainder = tuple(sorted(rest.elements(), reverse=True))
-        if _decomposable(remainder):
-            return True
-    return False
+    # lam is a union of >= 2 B(0) leading partitions (each (1) or with equal
+    # top two parts) iff lam_1 = lam_2 and one of these splits off, leaving a
+    # leading partition: a second (lam_1, lam_1), a part 1, or (v, v) for a
+    # smaller part v.  On a B(0) label with first nonzero index k this reads
+    # k >= 4, beta_l = 1, or beta_i = 0 for some k < i < l.
+    if len(lam) < 2 or lam[0] != lam[1]:
+        return False
+    j = lam.count(lam[0])
+    rest = lam[j:]
+    return j >= 4 or lam[-1] == 1 or len(set(rest)) < len(rest)
 
 
 def generator_candidates(n_max: int) -> list[Composition]:

@@ -450,14 +450,13 @@ def run_verification(max_n: int) -> list[tuple[str, bool]]:
     for n in range(1, max_n + 1):
         for ell in range(1, n + 1):
             tm = symfun.transition_matrix(n, ell)
-            matrix_rows: dict = {}
-            for (lam, beta2), m in tm.entries.items():
-                matrix_rows.setdefault(lam, {})[beta2] = m
+            raises: symfun.RaiseTable = {}
             for beta in tm.compositions:
                 # row beta of E M, summed over the nonzero terms of e^beta
                 got: dict = {}
-                for lam, c in symfun.expand_elementary_product(beta, ell).items():
-                    for beta2, m in matrix_rows.get(lam, {}).items():
+                expansion = symfun.expand_elementary_product(beta, ell, raises)
+                for lam, c in expansion.items():
+                    for beta2, m in tm.rows.get(lam, {}).items():
                         got[beta2] = got.get(beta2, 0) + c * m
                 if {b: x for b, x in got.items() if x} != {beta: 1}:
                     ok = False

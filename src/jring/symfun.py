@@ -1,24 +1,31 @@
 """Symmetric polynomials in k_1, ..., k_l and the e -> m transition matrix.
 
-For fixed degree n and length l we expand each product
-e^beta = e_1^{beta_1} ... e_l^{beta_l} over the monomial symmetric basis
-m_lambda and invert the (unitriangular) expansion by integer
-back-substitution.  The columns of the inverse M, defined by
-m_lambda = sum_beta M[lambda][beta] e^beta, are the coefficient vectors of
-the invariant basis polynomials.
+For fixed degree n and length l the transition matrix M is defined by
+m_lambda = sum_beta M[lambda][beta] e^beta, with lambda running over the
+partitions of n with exactly l parts and e^beta = e_1^{beta_1} ... e_l^{beta_l}.
+Its columns are the coefficient vectors of the invariant basis polynomials.
 
-The expansion never leaves partition space.  A symmetric polynomial is kept
-as {mu: coefficient of m_mu}, mu a weakly decreasing l-tuple with zeros
-allowed.  Multiplying by e_j raises j parts of mu by one: choose t_v copies
-of each distinct part v with sum t_v = j, giving nu with coefficient
-prod_v C(mult_nu(v + 1), t_v), the number of ways to pick which parts of nu
-came from raising.  This is the 0-1 matrix count of the coefficients of
-e^beta (Macdonald, Symmetric Functions and Hall Polynomials, I.6).
+A symmetric polynomial is kept as {mu: coefficient of m_mu}, mu a weakly
+decreasing l-tuple with zeros allowed.  Multiplying by e_j raises j parts of
+mu by one: choose t_v copies of each distinct part v with sum t_v = j, giving
+nu with coefficient prod_v C(mult_nu(v + 1), t_v), the number of ways to pick
+which parts of nu came from raising (Macdonald, Symmetric Functions and Hall
+Polynomials, I.6).  Raising the j largest parts gives the dominance-largest
+term, with coefficient 1.
 
-The labels of one (n, l) slice meet the same (mu, j) pairs many times, so a
-matrix build keeps one raise table, {j: {mu: terms of m_mu * e_j}}, filled
-as pairs first occur and shared by every label of the slice.  The table is
-local to the build: nothing is cached between builds.
+That Pieri rule solves each row of M in one step, from the dominance-smallest
+lambda upwards.  Let j be the number of parts equal to lambda_1 and mu be
+lambda with those j parts lowered by one; mu lies in slice (n - j, l) and
+
+    m_lambda = e_j m_mu - sum_{nu != lambda} c_nu m_nu.
+
+The row of mu becomes a row of slice (n, l) by e_j e^beta = e^{beta + u_j},
+and every other nu is dominance-smaller than lambda in the same slice, so
+its row is already solved.  The one partition with lambda_1 = 1 is (1^l),
+and m_{1^l} = e_l.  A build therefore reads the rows of the earlier slices
+of its length from the memo, and transition_matrix fills those in
+increasing n first.  expand_elementary_product multiplies out e^beta with
+the same rule; the build does not need it.
 """
 
 from __future__ import annotations
@@ -117,6 +124,8 @@ class TransitionMatrix:
     ell: int
     partitions: list[Partition]
     compositions: list[Composition]
+    # rows[lambda] -> {beta: int}, so m_lambda = sum_beta c e^beta
+    rows: dict[Partition, dict[Composition, int]] = field(repr=False)
     # entries[(lambda, beta)] -> int, zero entries omitted
     entries: dict[tuple[Partition, Composition], int] = field(repr=False)
 
@@ -163,59 +172,67 @@ _memo: dict[tuple[int, int], TransitionMatrix] = {}
 
 
 def _build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
+    # reads the rows of the slices (n - j, ell), 1 <= j <= ell, from the memo
     partitions = enumerate_partitions(n, ell)
     compositions = enumerate_compositions(n, ell)
     if len(partitions) != len(compositions):
         raise RuntimeError(f"index sets out of sync at (n={n}, ell={ell})")
-    # one raise table for the whole slice, dropped with the build
-    table: RaiseTable = {}
-    expansions = {
-        beta: expand_elementary_product(beta, ell, table)
-        for beta in compositions
-    }
-    pos = {lam: i for i, lam in enumerate(partitions)}
-    lead_of = {beta: leading_partition(beta) for beta in compositions}
-
-    # unitriangularity check: e^beta = m_{lead} + lower-dominance terms
-    for beta, exp in expansions.items():
-        lead = lead_of[beta]
-        if exp.get(lead) != 1:
-            raise RuntimeError(f"expansion of {beta} has no unit leading term")
-        for lam in exp:
-            if pos[lam] < pos[lead]:
-                raise RuntimeError(
-                    f"expansion of {beta} is not triangular at {lam}"
-                )
-
-    beta_of = {lead_of[beta]: beta for beta in compositions}
-    # back-substitute from the dominance-smallest partition upwards
-    m_expr: dict[Partition, dict[Composition, int]] = {}
+    rows: dict[Partition, dict[Composition, int]] = {}
+    # one Pieri step per partition, from the dominance-smallest upwards
     for lam in reversed(partitions):
-        beta = beta_of[lam]
-        expr: dict[Composition, int] = {beta: 1}
-        for mu, c in expansions[beta].items():
-            if mu == lam:
+        top = lam[0]
+        if top == 1:
+            rows[lam] = {(0,) * (ell - 1) + (1,): 1}
+            continue
+        j = lam.count(top)
+        mu = (top - 1,) * j + lam[j:]
+        # e_j * e^beta = e^(beta + u_j)
+        expr = {
+            beta[: j - 1] + (beta[j - 1] + 1,) + beta[j:]: c
+            for beta, c in _memo[(n - j, ell)].rows[mu].items()
+        }
+        for nu, c in _raise_terms(mu, j):
+            if nu == lam:
+                if c != 1:
+                    raise RuntimeError(f"e_{j} * m_{mu} has no unit term at {lam}")
                 continue
-            for b2, c2 in m_expr[mu].items():
-                expr[b2] = expr.get(b2, 0) - c * c2
-        m_expr[lam] = {b: c for b, c in expr.items() if c != 0}
+            lower = rows.get(nu)
+            if lower is None:
+                raise RuntimeError(f"e_{j} * m_{mu} is not triangular at {nu}")
+            for beta, d in lower.items():
+                expr[beta] = expr.get(beta, 0) - c * d
+        rows[lam] = {beta: c for beta, c in expr.items() if c}
 
     entries = {
         (lam, beta): c
-        for lam, expr in m_expr.items()
+        for lam, expr in rows.items()
         for beta, c in expr.items()
     }
-    return TransitionMatrix(n, ell, partitions, compositions, entries)
+    return TransitionMatrix(n, ell, partitions, compositions, rows, entries)
+
+
+def _fill_memo(n: int, ell: int) -> None:
+    # build the missing slices (m, ell), m <= n, in increasing m: a loop and
+    # not a recursion, so the depth does not grow with n.  A build reads the
+    # ell slices below it, so each slice this loop adds is dropped again once
+    # no later build reads it; otherwise a cold (n, 2) would keep O(n^3)
+    # entries where the slice itself has O(n^2)
+    added: list[int] = []
+    for m in range(ell, n + 1):
+        if (m, ell) not in _memo:
+            _memo[(m, ell)] = _build_transition_matrix(m, ell)
+            added.append(m)
+        while added and added[0] <= m - ell:
+            del _memo[(added.pop(0), ell)]
 
 
 def transition_matrix(n: int, ell: int) -> TransitionMatrix:
     """Memoized transition matrix for (n, ell); n >= ell >= 1 required."""
     if not n >= ell >= 1:
         raise ValueError("transition_matrix requires n >= ell >= 1")
-    tm = _memo.get((n, ell))
-    if tm is None:
-        tm = _memo[(n, ell)] = _build_transition_matrix(n, ell)
-    return tm
+    if (n, ell) not in _memo:
+        _fill_memo(n, ell)
+    return _memo[(n, ell)]
 
 
 def waring_coefficient(beta: Composition) -> int:

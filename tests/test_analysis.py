@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from jring.analysis import (
     _derivation_columns,
     _monomials_of_weight,
+    _splits_properly,
     dimension_table,
     evaluate_monomial,
     find_relations,
@@ -24,6 +25,7 @@ from jring.analysis import (
 from jring.combinatorics import (
     enumerate_compositions,
     enumerate_partitions,
+    leading_partition,
     weight,
 )
 from jring.invariants import g_poly, realize
@@ -36,6 +38,7 @@ from appendix_data import (
     RELATION_B,
     TOTAL_SERIES_24,
 )
+import candidate_oracle
 import rational_rref_oracle
 
 
@@ -333,6 +336,31 @@ def test_generator_candidates_through_degree_12():
         (0, 3, 2),
         (0, 0, 4),
     ]
+
+
+def test_split_rule_matches_sub_multiset_search():
+    # every partition with n <= 20, and the leading partition of every B(0)
+    # label with n <= 26
+    for n in range(1, 21):
+        for ell in range(1, n + 1):
+            for lam in enumerate_partitions(n, ell):
+                assert _splits_properly(lam) == candidate_oracle.splits_properly(lam)
+    for n in range(1, 27):
+        for ell in range(1, n + 1):
+            for beta in enumerate_compositions(n, ell, first=0):
+                lam = leading_partition(beta)
+                assert _splits_properly(lam) == candidate_oracle.splits_properly(lam)
+
+
+def test_generator_candidates_match_the_search():
+    want = [
+        beta
+        for n in range(1, 19)
+        for ell in range(1, n + 1)
+        for beta in enumerate_compositions(n, ell, first=0)
+        if not candidate_oracle.splits_properly(leading_partition(beta))
+    ]
+    assert sorted(generator_candidates(18)) == sorted(want)
 
 
 def test_non_candidates_are_products():

@@ -1,10 +1,14 @@
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backsub_oracle import build_transition_matrix
 from dense_oracle import dense_expansion
+from jring import symfun
 from jring.combinatorics import (
     conjugate,
     dominance_leq,
@@ -117,16 +121,81 @@ def test_expansion_times_matrix_is_identity_on_drawn_slices(slice_):
     # expansions share one raise table, taking the labels in reverse
     n, ell = slice_
     tm = transition_matrix(n, ell)
-    matrix_rows = {}
-    for (lam, beta2), m in tm.entries.items():
-        matrix_rows.setdefault(lam, {})[beta2] = m
     table = {}
     for beta in reversed(tm.compositions):
         row = {}
         for lam, c in expand_elementary_product(beta, ell, table).items():
-            for beta2, m in matrix_rows.get(lam, {}).items():
+            for beta2, m in tm.rows.get(lam, {}).items():
                 row[beta2] = row.get(beta2, 0) + c * m
         assert {b: x for b, x in row.items() if x} == {beta: 1}
+
+
+def test_pieri_build_matches_backsub_oracle():
+    for n in range(1, 19):
+        for ell in range(1, n + 1):
+            tm = transition_matrix(n, ell)
+            want = build_transition_matrix(n, ell)
+            assert tm.partitions == want.partitions
+            assert tm.compositions == want.compositions
+            assert tm.entries == want.entries
+            assert tm.rows == want.rows
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(slices(max_n=22))
+def test_cold_build_matches_backsub_oracle_on_drawn_slices(slice_):
+    # a fresh memo: the build fills the earlier slices of its length itself
+    n, ell = slice_
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symfun, "_memo", {})
+        tm = transition_matrix(n, ell)
+        # of the chain, only the ell slices a build of (n + 1, ell) reads stay
+        low = max(ell, n - ell + 1)
+        assert sorted(symfun._memo) == [(m, ell) for m in range(low, n + 1)]
+    assert tm.entries == build_transition_matrix(n, ell).entries
+
+
+def test_build_checks_the_pieri_step(monkeypatch):
+    # a wrong coefficient at lambda, or a term above lambda in dominance,
+    # makes the build fail instead of returning a wrong matrix
+    raise_terms = symfun._raise_terms
+
+    def wrong_lead(mu, j):
+        terms = raise_terms(mu, j)
+        lead = max(nu for nu, _ in terms)
+        return [(nu, 2 * c if nu == lead else c) for nu, c in terms]
+
+    def above(mu, j):
+        terms = raise_terms(mu, j)
+        top = (sum(mu) + j - len(mu) + 1,) + (1,) * (len(mu) - 1)
+        return terms + [(top, 1)]
+
+    for patched, message in ((wrong_lead, "no unit term"), (above, "not triangular")):
+        monkeypatch.setattr(symfun, "_memo", {})
+        monkeypatch.setattr(symfun, "_raise_terms", patched)
+        with pytest.raises(RuntimeError, match=message):
+            transition_matrix(6, 2)
+
+
+def test_cold_chain_needs_no_recursion(monkeypatch):
+    # (300, 1) and (150, 2) chain through every earlier slice of their
+    # length; the fill loops, so a stack barely deeper than the caller's
+    # is enough
+    monkeypatch.setattr(symfun, "_memo", {})
+    early = transition_matrix(10, 2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        one = transition_matrix(300, 1)
+        two = transition_matrix(150, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert one.rows == {(300,): {(300,): 1}}
+    assert two.entries == build_transition_matrix(150, 2).entries
+    # a slice asked for stays; a chain keeps only the slices the next build
+    # of its length reads
+    assert sorted(symfun._memo) == [(9, 2), (10, 2), (149, 2), (150, 2), (300, 1)]
+    assert symfun._memo[(10, 2)] is early
 
 
 def test_g_column_example():
