@@ -256,7 +256,9 @@ def dimension_table(n_max: int) -> DimensionTable:
     return DimensionTable(n_max, dims, totals)
 
 
-def g_expansion(p: XPolynomial, n: int, ell: int) -> dict[Composition, Fraction]:
+def g_expansion(
+    p: XPolynomial, n: int, ell: int
+) -> dict[Composition, int | Fraction]:
     """Expand a homogeneous (n, ell) polynomial over the g_beta basis."""
     tm = symfun.transition_matrix(n, ell)
     return tm.solve_g_coefficients(dict(p.terms))

@@ -1,0 +1,100 @@
+"""Cross-checks between jring's independent computation routes.
+
+Each identity is written once, over one (n, l) slice or one weight bound;
+``jring verify`` and the tests both call it.  jring functions are reached
+through their modules, so a wrapped or patched function is the one checked.
+"""
+
+from . import analysis, combinatorics, invariants, symfun, xring
+from .combinatorics import Composition
+
+
+def b0_labels(max_weight: int) -> list[Composition]:
+    """The B(0) labels of weight 1..max_weight, in canonical order."""
+    return [
+        beta
+        for n in range(1, max_weight + 1)
+        for ell in range(1, n + 1)
+        for beta in combinatorics.enumerate_compositions(n, ell, first=0)
+    ]
+
+
+def dimension_checks(max_n: int) -> list[tuple[str, bool]]:
+    """The table's two routes (it raises if they differ), then both series."""
+    try:
+        table = analysis.dimension_table(max_n)
+    except RuntimeError:
+        return [("dimension table: counting vs kernel rank", False)]
+    series = analysis.poincare_series(max_n)
+    rows = analysis.poincare_series_bivariate(max_n)
+    degrees = range(1, max_n + 1)
+    totals_ok = all(series[n] == table.totals[n] for n in degrees)
+    rows_ok = all(
+        rows[n] == {ell: d for ell, d in enumerate(table.dims[n], 1) if d} for n in degrees
+    )
+    return [
+        ("dimension table: counting vs kernel rank", True),
+        ("Poincare series matches dimension totals", totals_ok),
+        ("dimension table matches bivariate Poincare series row by row", rows_ok),
+    ]
+
+
+def expansion_inverts_matrix(n: int, ell: int) -> bool:
+    """E M = I on slice (n, l), summed over the nonzero terms of each e^beta."""
+    tm = symfun.transition_matrix(n, ell)
+    raises: symfun.RaiseTable = {}
+    for beta in tm.compositions:
+        row: dict[Composition, int] = {}
+        for lam, c in symfun.expand_elementary_product(beta, ell, raises).items():
+            for beta2, m in tm.rows.get(lam, {}).items():
+                row[beta2] = row.get(beta2, 0) + c * m
+        if {b: x for b, x in row.items() if x} != {beta: 1}:
+            return False
+    return True
+
+
+def waring_matches_matrix(n: int, ell: int) -> bool:
+    """The nonzero closed form equals each entry at (n - l + 1, 1, ..., 1)."""
+    tm = symfun.transition_matrix(n, ell)
+    omega = tm.rows[(n - ell + 1,) + (1,) * (ell - 1)]
+    values = ((symfun.waring_coefficient(b), omega.get(b, 0)) for b in tm.compositions)
+    return all(0 != closed == entry for closed, entry in values)
+
+
+def derivation_lowers_first_index(n: int, ell: int) -> bool:
+    """d g_beta is zero on B(0), else g_(beta_1 - 1, beta_2, ...) and nonzero."""
+    for beta in combinatorics.enumerate_compositions(n, ell):
+        image = xring.derivation_d(invariants.g_poly(beta))
+        if beta[0] == 0 or beta == (1,):
+            ok = image.is_zero()
+        else:
+            lowered = invariants.g_poly((beta[0] - 1,) + beta[1:])
+            ok = not image.is_zero() and image == lowered
+        if not ok:
+            return False
+    return True
+
+
+def products_realize(max_weight: int) -> bool:
+    """realize(g_b g_b') = g_b * g_b' for B(0) labels b, b' up to max_weight."""
+    labels = b0_labels(max_weight)
+    return all(
+        invariants.realize(invariants.j_product({b1: 1}, {b2: 1}))
+        == invariants.g_poly(b1) * invariants.g_poly(b2)
+        for b1 in labels
+        for b2 in labels
+    )
+
+
+def run(max_n: int) -> list[tuple[str, bool]]:
+    """Every check up to weight max_n (products up to max_n // 2), with names."""
+    slices = [(n, ell) for n in range(1, max_n + 1) for ell in range(1, n + 1)]
+    results = dimension_checks(max_n)
+    for name, check in (
+        ("expansion times transition matrix is identity", expansion_inverts_matrix),
+        ("Waring closed form matches matrix entries", waring_matches_matrix),
+        ("derivation acts by lowering the first index", derivation_lowers_first_index),
+    ):
+        results.append((name, all(check(n, ell) for n, ell in slices)))
+    products = products_realize(max_n // 2)
+    return results + [("structure constants realize polynomial products", products)]

@@ -8,7 +8,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import analysis, invariants, symfun
+from . import analysis, checks, invariants
 from .combinatorics import (
     EMPTY,
     Composition,
@@ -17,7 +17,7 @@ from .combinatorics import (
     is_composition,
     weight,
 )
-from .xring import XPolynomial, derivation_d
+from .xring import XPolynomial
 
 # ---------------------------------------------------------------------------
 # Rendering
@@ -335,13 +335,11 @@ def cmd_dims(args) -> int:
 
 
 def cmd_series(args) -> int:
-    if args.which == "Jl":
-        if args.ell is None:
-            print("jring series: --which Jl requires --ell", file=sys.stderr)
-            return 2
-        coeffs = analysis.poincare_series(args.order, args.ell)
-    else:
-        coeffs = analysis.poincare_series(args.order)
+    if args.which == "Jl" and args.ell is None:
+        raise ValueError("series --which Jl needs --ell")
+    if args.which == "J" and args.ell is not None:
+        raise ValueError("series --which J takes no --ell")
+    coeffs = analysis.poincare_series(args.order, args.ell)
     if args.format == "json":
         print(json.dumps({"order": args.order, "coeffs": coeffs}))
         return 0
@@ -409,7 +407,7 @@ def cmd_verify(args) -> int:
     if args.max_n < 1:
         raise ValueError("verify needs --max-n >= 1")
     failures = 0
-    for name, ok in run_verification(args.max_n):
+    for name, ok in checks.run(args.max_n):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
         if not ok:
             failures += 1
@@ -417,91 +415,6 @@ def cmd_verify(args) -> int:
         print(f"{failures} check(s) failed", file=sys.stderr)
         return 1
     return 0
-
-
-def run_verification(max_n: int) -> list[tuple[str, bool]]:
-    """Cross-checks between the independent computation routes."""
-    results: list[tuple[str, bool]] = []
-
-    ok = True
-    try:
-        table = analysis.dimension_table(max_n)
-    except RuntimeError:
-        ok = False
-        table = None
-    results.append(("dimension table: counting vs kernel rank", ok))
-
-    if table is not None:
-        series = analysis.poincare_series(max_n)
-        ok = all(
-            series[n] == table.totals[n] for n in range(1, max_n + 1)
-        )
-        results.append(("Poincare series matches dimension totals", ok))
-        rows = analysis.poincare_series_bivariate(max_n)
-        ok = all(
-            rows[n] == {ell: d for ell, d in enumerate(table.dims[n], 1) if d}
-            for n in range(1, max_n + 1)
-        )
-        results.append(
-            ("dimension table matches bivariate Poincare series row by row", ok)
-        )
-
-    ok = True
-    for n in range(1, max_n + 1):
-        for ell in range(1, n + 1):
-            tm = symfun.transition_matrix(n, ell)
-            raises: symfun.RaiseTable = {}
-            for beta in tm.compositions:
-                # row beta of E M, summed over the nonzero terms of e^beta
-                got: dict = {}
-                expansion = symfun.expand_elementary_product(beta, ell, raises)
-                for lam, c in expansion.items():
-                    for beta2, m in tm.rows.get(lam, {}).items():
-                        got[beta2] = got.get(beta2, 0) + c * m
-                if {b: x for b, x in got.items() if x} != {beta: 1}:
-                    ok = False
-    results.append(("expansion times transition matrix is identity", ok))
-
-    ok = True
-    for n in range(2, max_n + 1):
-        for ell in range(1, n):
-            for beta in enumerate_compositions(n, ell):
-                if symfun.waring_coefficient(beta) != symfun.transition_matrix(
-                    n, ell
-                ).entry((n - ell + 1,) + (1,) * (ell - 1), beta):
-                    ok = False
-    results.append(("Waring closed form matches matrix entries", ok))
-
-    ok = True
-    for n in range(1, max_n + 1):
-        for ell in range(1, n + 1):
-            for beta in enumerate_compositions(n, ell):
-                image = derivation_d(invariants.g_poly(beta))
-                if beta[0] == 0 or beta == (1,):
-                    expected = XPolynomial.zero()
-                else:
-                    expected = invariants.g_poly((beta[0] - 1,) + beta[1:])
-                if image != expected:
-                    ok = False
-    results.append(("derivation acts by lowering the first index", ok))
-
-    ok = True
-    half = max_n // 2
-    labels = [
-        beta
-        for n in range(1, half + 1)
-        for ell in range(1, n + 1)
-        for beta in enumerate_compositions(n, ell, first=0)
-    ]
-    for b1 in labels:
-        for b2 in labels:
-            got = invariants.realize(invariants.j_product({b1: 1}, {b2: 1}))
-            want = invariants.g_poly(b1) * invariants.g_poly(b2)
-            if got != want:
-                ok = False
-    results.append(("structure constants realize polynomial products", ok))
-
-    return results
 
 
 COMMANDS = {

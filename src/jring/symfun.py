@@ -30,6 +30,7 @@ the same rule; the build does not need it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -126,39 +127,41 @@ class TransitionMatrix:
     compositions: list[Composition]
     # rows[lambda] -> {beta: int}, so m_lambda = sum_beta c e^beta
     rows: dict[Partition, dict[Composition, int]] = field(repr=False)
-    # entries[(lambda, beta)] -> int, zero entries omitted
-    entries: dict[tuple[Partition, Composition], int] = field(repr=False)
+
+    @functools.cached_property
+    def entries(self) -> dict[tuple[Partition, Composition], int]:
+        """{(lambda, beta): entry}, zero entries omitted; built on first read."""
+        return {
+            (lam, beta): c for lam, row in self.rows.items() for beta, c in row.items()
+        }
 
     def entry(self, lam: Partition, beta: Composition) -> int:
         return self.entries.get((lam, beta), 0)
 
     def g_column(self, beta: Composition) -> dict[Partition, int]:
         """Coefficients of the invariant polynomial labelled by beta."""
-        return {
-            lam: self.entries[(lam, beta)]
-            for lam in self.partitions
-            if (lam, beta) in self.entries
-        }
+        return {lam: row[beta] for lam, row in self.rows.items() if beta in row}
 
     def solve_g_coefficients(
-        self, vector: dict[Partition, Fraction]
-    ) -> dict[Composition, Fraction]:
+        self, vector: dict[Partition, int | Fraction]
+    ) -> dict[Composition, int | Fraction]:
         """Express an x-coefficient vector over the g_beta column basis.
 
         Solves M c = v by back substitution: the column at beta is unit at
         the leading partition of beta and otherwise supported on dominance-
         larger partitions, so starting from the dominance-smallest lead the
-        solution is exact and unique.
+        solution is exact and unique.  M is integral and unitriangular, so an
+        integral vector gives int coefficients and a rational one Fractions.
         """
         remaining = dict(vector)
-        coeffs: dict[Composition, Fraction] = {}
+        coeffs: dict[Composition, int | Fraction] = {}
         for beta in reversed(self.compositions):
             lead = leading_partition(beta)
-            c = remaining.get(lead, Fraction(0))
+            c = remaining.get(lead, 0)
             if c != 0:
                 coeffs[beta] = c
                 for lam, m in self.g_column(beta).items():
-                    newval = remaining.get(lam, Fraction(0)) - c * m
+                    newval = remaining.get(lam, 0) - c * m
                     if newval == 0:
                         remaining.pop(lam, None)
                     else:
@@ -202,13 +205,7 @@ def _build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
             for beta, d in lower.items():
                 expr[beta] = expr.get(beta, 0) - c * d
         rows[lam] = {beta: c for beta, c in expr.items() if c}
-
-    entries = {
-        (lam, beta): c
-        for lam, expr in rows.items()
-        for beta, c in expr.items()
-    }
-    return TransitionMatrix(n, ell, partitions, compositions, rows, entries)
+    return TransitionMatrix(n, ell, partitions, compositions, rows)
 
 
 def _fill_memo(n: int, ell: int) -> None:

@@ -54,10 +54,4 @@ def build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
             for b2, c2 in m_expr[mu].items():
                 expr[b2] = expr.get(b2, 0) - c * c2
         m_expr[lam] = {b: c for b, c in expr.items() if c != 0}
-
-    entries = {
-        (lam, beta): c
-        for lam, expr in m_expr.items()
-        for beta, c in expr.items()
-    }
-    return TransitionMatrix(n, ell, partitions, compositions, m_expr, entries)
+    return TransitionMatrix(n, ell, partitions, compositions, m_expr)

@@ -9,6 +9,7 @@ with::
 
 from fractions import Fraction
 
+from jring import checks
 from jring.analysis import (
     dimension_table,
     evaluate_monomial,
@@ -30,7 +31,6 @@ from jring.invariants import (
     product_closed_form,
     realize,
 )
-from jring.symfun import transition_matrix, waring_coefficient
 from jring.xring import XPolynomial, derivation_d, project, truncate
 
 from appendix_data import (
@@ -46,15 +46,6 @@ from appendix_data import (
 def report(num: int, name: str, ok: bool) -> None:
     print(f"{'PASS' if ok else 'FAIL'}  criterion {num:2d}: {name}")
     assert ok, f"criterion {num} ({name}) failed"
-
-
-def b0_labels(max_weight):
-    return [
-        beta
-        for n in range(1, max_weight + 1)
-        for ell in range(1, n + 1)
-        for beta in enumerate_compositions(n, ell, first=0)
-    ]
 
 
 def test_criterion_01_basis_tables():
@@ -88,13 +79,7 @@ def test_criterion_03_poincare_series():
 
 
 def test_criterion_04_products_realize():
-    labels = b0_labels(6)
-    ok = all(
-        realize(j_product({b1: 1}, {b2: 1})) == g_poly(b1) * g_poly(b2)
-        for b1 in labels
-        for b2 in labels
-        if weight(b1) + weight(b2) <= 12
-    )
+    ok = checks.products_realize(6)
     report(4, "structure constants realize products (weight <= 12)", ok)
 
 
@@ -115,40 +100,33 @@ def test_criterion_05_closed_product_formulas():
     ok = ok and all(
         j_product({(1,): 1}, {beta: 1})
         == {beta[:-1] + (beta[-1] - 1, 1): 1}
-        for beta in b0_labels(10)
+        for beta in checks.b0_labels(10)
     )
     report(5, "closed product formulas and degree-one rules", ok)
 
 
 def test_criterion_06_derivation_lemma():
-    ok = True
-    for n in range(1, 15):
-        for ell in range(1, n + 1):
-            for beta in enumerate_compositions(n, ell):
-                image = derivation_d(g_poly(beta))
-                if beta[0] == 0 or beta == (1,):
-                    ok = ok and image.is_zero()
-                else:
-                    ok = ok and image == g_poly((beta[0] - 1,) + beta[1:])
-                    ok = ok and not image.is_zero()
+    ok = all(
+        checks.derivation_lowers_first_index(n, ell)
+        for n in range(1, 15)
+        for ell in range(1, n + 1)
+    )
     report(6, "derivation lemma and kernel characterization (weight <= 14)", ok)
 
 
 def test_criterion_07_waring():
-    ok = True
-    for n in range(1, 15):
-        for ell in range(1, n + 1):
-            tm = transition_matrix(n, ell)
-            omega = (n - ell + 1,) + (1,) * (ell - 1)
-            for beta in tm.compositions:
-                ok = ok and waring_coefficient(beta) == tm.entry(omega, beta)
-    report(7, "Waring closed form vs matrix entries (weight <= 14)", ok)
+    ok = all(
+        checks.waring_matches_matrix(n, ell)
+        for n in range(1, 19)
+        for ell in range(1, n + 1)
+    )
+    report(7, "Waring closed form vs matrix entries (weight <= 18)", ok)
 
 
 def test_criterion_08_lift_laws():
     N = 10
     ok = True
-    for beta in b0_labels(6):
+    for beta in checks.b0_labels(6):
         for F in (lift_tilde(beta, N), lift_exp(g_poly(beta), N)):
             ok = ok and project(F, weight(beta)) == g_poly(beta)
             ok = ok and derivation_d(F) == truncate(F, N - 1)

@@ -166,6 +166,14 @@ def test_relations_command(capsys):
             ["chern", "--ell", "3", "--max-degree", "2"],
             "need max_degree >= ell >= 2",
         ),
+        (
+            ["series", "--which", "Jl", "--order", "6"],
+            "series --which Jl needs --ell",
+        ),
+        (
+            ["series", "--which", "J", "--ell", "3", "--order", "6"],
+            "series --which J takes no --ell",
+        ),
     ],
 )
 def test_sizes_below_one_are_refused(capsys, argv, message):

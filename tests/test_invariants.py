@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jring import checks
+from jring.checks import b0_labels
 from jring.combinatorics import EMPTY, enumerate_compositions, weight
 from jring.invariants import (
     ch_numeric,
@@ -30,14 +32,6 @@ def b0_labels_of_weight(n):
         beta
         for ell in range(1, n + 1)
         for beta in enumerate_compositions(n, ell, first=0)
-    ]
-
-
-def b0_labels(max_weight):
-    return [
-        beta
-        for n in range(1, max_weight + 1)
-        for beta in b0_labels_of_weight(n)
     ]
 
 
@@ -70,15 +64,17 @@ def test_g_poly_is_invariant_on_b0():
         assert derivation_d(g_poly(beta)).is_zero()
 
 
-def test_g_poly_lowers_first_index():
-    for n in range(2, 12):
-        for ell in range(1, n + 1):
-            for beta in enumerate_compositions(n, ell):
-                image = derivation_d(g_poly(beta))
-                if beta[0] == 0 or beta == (1,):
-                    assert image.is_zero()
-                else:
-                    assert image == g_poly((beta[0] - 1,) + beta[1:])
+@st.composite
+def slices(draw, min_n, max_n):
+    n = draw(st.integers(min_n, max_n))
+    return n, draw(st.integers(1, n))
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(slices(15, 22))
+def test_g_poly_lowers_first_index(slice_):
+    # beyond criterion 6, which covers every slice with n <= 14
+    assert checks.derivation_lowers_first_index(*slice_)
 
 
 def test_realize_linearity():
@@ -107,11 +103,8 @@ def test_structure_constant_examples():
 
 
 def test_structure_constants_realize_products():
-    labels = b0_labels(6)
-    for b1 in labels:
-        for b2 in labels:
-            got = realize(j_product({b1: 1}, {b2: 1}))
-            assert got == g_poly(b1) * g_poly(b2)
+    # beyond criterion 4, which stops at weight 6
+    assert checks.products_realize(8)
 
 
 def test_structure_constants_nonnegative_and_graded():
