@@ -19,7 +19,7 @@ from .combinatorics import (
     Partition,
     enumerate_compositions,
     enumerate_partitions,
-    leading_partition,
+    from_leading_partition,
     composition_sort_key,
     weight,
 )
@@ -268,23 +268,11 @@ def g_expansion(
 # Poincare series
 
 
-def _series_mul(a: list, b: list, order: int) -> list:
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(0, order + 1 - i):
-            if b[j] != 0:
-                out[i + j] += ai * b[j]
-    return out
-
-
-def _geometric(step: int, order: int) -> list[int]:
-    # 1 / (1 - t^step) truncated
-    out = [0] * (order + 1)
-    for m in range(0, order + 1, step):
-        out[m] = 1
-    return out
+def _divide_by_one_minus(series: list[int], step: int) -> None:
+    # series <- series / (1 - t^step), truncated, in place: ascending m
+    # reads the already divided coefficient at m - step
+    for m in range(step, len(series)):
+        series[m] += series[m - step]
 
 
 def poincare_series(order: int, ell: Optional[int] = None) -> list[int]:
@@ -307,11 +295,11 @@ def poincare_series(order: int, ell: Optional[int] = None) -> list[int]:
         if ell <= order:
             out[ell] = 1
         for i in range(2, ell + 1):
-            out = _series_mul(out, _geometric(i, order), order)
+            _divide_by_one_minus(out, i)
         return out
     out = [1] + [0] * order
     for i in range(2, order + 1):
-        out = _series_mul(out, _geometric(i, order), order)
+        _divide_by_one_minus(out, i)
     out[1] += 1
     return out
 
@@ -351,29 +339,32 @@ def poincare_series_bivariate(order: int) -> list[dict[int, int]]:
 # Generators and relations
 
 
-def _splits_properly(lam: Partition) -> bool:
-    # lam is a union of >= 2 B(0) leading partitions (each (1) or with equal
-    # top two parts) iff lam_1 = lam_2 and one of these splits off, leaving a
-    # leading partition: a second (lam_1, lam_1), a part 1, or (v, v) for a
-    # smaller part v.  On a B(0) label with first nonzero index k this reads
-    # k >= 4, beta_l = 1, or beta_i = 0 for some k < i < l.
-    if len(lam) < 2 or lam[0] != lam[1]:
-        return False
-    j = lam.count(lam[0])
-    rest = lam[j:]
-    return j >= 4 or lam[-1] == 1 or len(set(rest)) < len(rest)
-
-
 def generator_candidates(n_max: int) -> list[Composition]:
-    """B(0) labels whose leading monomial admits no product decomposition."""
+    """B(0) labels whose leading monomial admits no product decomposition.
+
+    A B(0) leading partition is (1) or has lam_1 = lam_2.  Such a lam is a
+    union of two or more of them exactly when a second (lam_1, lam_1), a
+    part 1, or a pair (v, v) of a smaller part v splits off.  So the
+    candidates are (1) and the labels of lam = (v^j) + t with j in {2, 3} and
+    t strictly decreasing with parts in [2, v - 1]; they are generated
+    directly, in canonical order.
+    """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    out: list[Composition] = []
-    for n in range(1, n_max + 1):
-        for ell in range(1, n + 1):
-            for beta in enumerate_compositions(n, ell, first=0):
-                if not _splits_properly(leading_partition(beta)):
-                    out.append(beta)
+    out: list[Composition] = [(1,)]
+    for v in range(2, n_max // 2 + 1):
+        # the tails of weight at most n_max - 2v, built by appending parts
+        # in decreasing order, with their weights
+        budget = n_max - 2 * v
+        tails: list[tuple[Partition, int]] = [((), 0)]
+        for p in range(min(v - 1, budget), 1, -1):
+            tails += [(t + (p,), w + p) for t, w in tails if w + p <= budget]
+        for j in (2, 3):
+            out.extend(
+                from_leading_partition((v,) * j + t)
+                for t, w in tails
+                if j * v + w <= n_max
+            )
     out.sort(key=composition_sort_key)
     return out
 
@@ -414,6 +405,24 @@ def evaluate_monomial(monomial: Monomial) -> invariants.JCombination:
     return comb
 
 
+def _monomial_products(
+    monomials: Sequence[Monomial],
+) -> list[invariants.JCombination]:
+    # evaluate_monomial of each monomial, folding the same products in the
+    # same order, but with one j_product per distinct prefix: a monomial's
+    # product is that of its prefix without the last factor, times that factor
+    products: dict[Monomial, invariants.JCombination] = {(): {(): 1}}
+
+    def product(mono: Monomial) -> invariants.JCombination:
+        comb = products.get(mono)
+        if comb is None:
+            comb = invariants.j_product(product(mono[:-1]), {mono[-1]: 1})
+            products[mono] = comb
+        return comb
+
+    return [product(mono) for mono in monomials]
+
+
 def find_relations(
     degree: int, generators: Sequence[Composition]
 ) -> list[Relation]:
@@ -425,7 +434,7 @@ def find_relations(
     """
     monomials = _monomials_of_weight(generators, degree)
     # one column per monomial: its product over the B(0) labels
-    rows = _rows_of(evaluate_monomial(mono) for mono in monomials)
+    rows = _rows_of(_monomial_products(monomials))
     kernel, _ = rref(nullspace(rows, len(monomials)))
     return [{monomials[j]: c for j, c in sorted(v.items())} for v in kernel]
 

@@ -5,12 +5,20 @@ products of elementary symmetric polynomials e_1^{beta_1} ... e_l^{beta_l}.
 The admissible ones have beta_1, ..., beta_{l-1} >= 0 and beta_l >= 1; the
 empty tuple () is the label of the unit.  Partitions are weakly decreasing
 tuples of positive integers.  Both are plain tuples of ints throughout.
+
+leading_partition (lam_j = beta_j + ... + beta_l) is a bijection from the
+admissible labels of weight n and length l onto the partitions of n with
+exactly l parts, with inverse beta_j = lam_j - lam_{j+1}.  It carries the
+canonical order of labels to the lexicographic order of partitions, largest
+first, so one depth-first search over partitions enumerates both index sets
+in order, and fixing lam_1 = lam_2 + i selects the slice B_n^(l)(i).
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterator, Optional
+from operator import sub
+from typing import Optional
 
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -86,6 +94,15 @@ def leading_partition(beta: Composition) -> Partition:
     return tuple(parts)
 
 
+def from_leading_partition(lam: Partition) -> Composition:
+    """Inverse of leading_partition: beta_j = lam_j - lam_{j+1}, lam_{l+1} = 0.
+
+    Maps the partitions of n with exactly l parts onto B_n^(l), and their
+    lexicographic order, largest first, onto canonical order.
+    """
+    return tuple(map(sub, lam, lam[1:] + (0,)))
+
+
 def composition_sort_key(beta: Composition):
     """Canonical order: by weight, length, then leading partition, largest first.
 
@@ -96,57 +113,38 @@ def composition_sort_key(beta: Composition):
     return (weight(beta), len(beta), tuple(-p for p in lead))
 
 
-def partition_sort_key(lam: Partition):
-    """Order partitions of fixed (n, l) from dominance-largest downwards."""
-    return (sum(lam), len(lam), tuple(-p for p in lam))
-
-
-def _raw_compositions(
-    n: int, ell: int, first: Optional[int] = None
-) -> Iterator[list[int]]:
-    # all (b_1, ..., b_ell) with b_i >= 0, b_ell >= 1 and sum i*b_i = n;
-    # when first is given (needs ell >= 2), only those with b_1 = first
-    if ell == 0:
-        if n == 0:
-            yield []
+def _search(
+    out: list[Partition],
+    remaining: int,
+    parts_left: int,
+    max_part: int,
+    head: Partition,
+) -> None:
+    # append head + mu for each partition mu of remaining into exactly
+    # parts_left parts of at most max_part, lexicographically largest first.
+    # Every caller passes a feasible state, so each branch ends in a partition.
+    if parts_left <= 1:
+        out.append(head + (remaining,) if parts_left else head)
         return
-
-    def rec(pos: int, remaining: int, acc: list[int]) -> Iterator[list[int]]:
-        if pos == ell:
-            if remaining % pos == 0 and remaining // pos >= 1:
-                yield acc + [remaining // pos]
-            return
-        # leave at least ell for b_ell >= 1
-        for b in range((remaining - ell) // pos + 1):
-            yield from rec(pos + 1, remaining - pos * b, acc + [b])
-
-    if first is None:
-        yield from rec(1, n, [])
-    elif 0 <= first <= n:
-        yield from rec(2, n - first, [first])
+    # the next part leaves at least 1 for each part after it, and is at
+    # least their average
+    top = min(max_part, remaining - parts_left + 1)
+    low = -(-remaining // parts_left)
+    for p in range(top, low - 1, -1):
+        _search(out, remaining - p, parts_left - 1, p, head + (p,))
 
 
 def enumerate_partitions(n: int, ell: int) -> list[Partition]:
-    """Partitions of n with exactly ell parts, dominance-largest first."""
-    results: list[Partition] = []
+    """Partitions of n with exactly ell parts, dominance-largest first.
 
-    def rec(remaining: int, parts_left: int, max_part: int, acc: list[int]):
-        if parts_left == 0:
-            if remaining == 0:
-                results.append(tuple(acc))
-            return
-        # the next part is at most max_part, leaves at least 1 for each part
-        # after it, and is at least their average
-        top = min(max_part, remaining - (parts_left - 1))
-        low = max(1, -(-remaining // parts_left))
-        for p in range(top, low - 1, -1):
-            rec(remaining - p, parts_left - 1, p, acc + [p])
-
-    if ell <= 0:
+    The order is lexicographic, largest first, which is a linear extension
+    of dominance.
+    """
+    if ell <= 0 or n < ell:
         return [()] if n == ell == 0 else []
-    rec(n, ell, n, [])
-    results.sort(key=partition_sort_key)
-    return results
+    out: list[Partition] = []
+    _search(out, n, ell, n, ())
+    return out
 
 
 def enumerate_compositions(
@@ -171,6 +169,17 @@ def enumerate_compositions(
         if first is None:
             return [(n,)] if n >= 1 else []
         return [(first + 1,)] if n == first + 1 else []
-    betas = [tuple(b) for b in _raw_compositions(n, ell, first)]
-    betas.sort(key=composition_sort_key)
-    return betas
+    lams: list[Partition] = []
+    if first is None:
+        _search(lams, n, ell, n, ())
+    else:
+        # beta_1 = lam_1 - lam_2 = first: choose lam_2, largest first, so
+        # that lam_1 + lam_2 leaves 1 for each later part and no later part
+        # exceeds lam_2
+        rest = n - first
+        low = max(1, -(-rest // ell))
+        for second in range((rest - ell + 2) // 2, low - 1, -1):
+            _search(
+                lams, rest - 2 * second, ell - 2, second, (second + first, second)
+            )
+    return [from_leading_partition(lam) for lam in lams]

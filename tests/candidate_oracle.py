@@ -1,10 +1,11 @@
-"""Reference test for generator candidates by sub-multiset search.
+"""Reference tests for generator candidates: a search and a closed-form rule.
 
-This is the search jring.analysis used before it switched to a closed-form
-rule on the leading partition: it tries every proper sub-multiset of the
-partition that is itself a leading partition of a B(0) label and recurses on
-the rest.  It shares no code with the rule, which is what makes it a useful
-oracle.
+splits_properly is the search jring.analysis used first: it tries every
+proper sub-multiset of the partition that is itself a leading partition of a
+B(0) label and recurses on the rest.  split_rule is the closed form that
+replaced it, and that jring.analysis then used to filter all B(0) labels
+before it generated the candidates directly.  The three share no code, which
+is what makes each an oracle for the others.
 """
 
 from __future__ import annotations
@@ -51,3 +52,16 @@ def splits_properly(lam: tuple[int, ...]) -> bool:
         if decomposable(remainder):
             return True
     return False
+
+
+def split_rule(lam: tuple[int, ...]) -> bool:
+    # lam is a union of >= 2 B(0) leading partitions (each (1) or with equal
+    # top two parts) iff lam_1 = lam_2 and one of these splits off, leaving a
+    # leading partition: a second (lam_1, lam_1), a part 1, or (v, v) for a
+    # smaller part v.  On a B(0) label with first nonzero index k this reads
+    # k >= 4, beta_l = 1, or beta_i = 0 for some k < i < l.
+    if len(lam) < 2 or lam[0] != lam[1]:
+        return False
+    j = lam.count(lam[0])
+    rest = lam[j:]
+    return j >= 4 or lam[-1] == 1 or len(set(rest)) < len(rest)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jring import checks
+from jring import checks, invariants
 from jring.analysis import (
     _derivation_columns,
+    _monomial_products,
     _monomials_of_weight,
-    _splits_properly,
     dimension_table,
     evaluate_monomial,
     find_relations,
@@ -312,12 +312,14 @@ def test_split_rule_matches_sub_multiset_search():
     for n in range(1, 21):
         for ell in range(1, n + 1):
             for lam in enumerate_partitions(n, ell):
-                assert _splits_properly(lam) == candidate_oracle.splits_properly(lam)
+                rule = candidate_oracle.split_rule(lam)
+                assert rule == candidate_oracle.splits_properly(lam)
     for n in range(1, 27):
         for ell in range(1, n + 1):
             for beta in enumerate_compositions(n, ell, first=0):
                 lam = leading_partition(beta)
-                assert _splits_properly(lam) == candidate_oracle.splits_properly(lam)
+                rule = candidate_oracle.split_rule(lam)
+                assert rule == candidate_oracle.splits_properly(lam)
 
 
 def test_generator_candidates_match_the_search():
@@ -329,6 +331,18 @@ def test_generator_candidates_match_the_search():
         if not candidate_oracle.splits_properly(leading_partition(beta))
     ]
     assert sorted(generator_candidates(18)) == sorted(want)
+
+
+def test_generator_candidates_match_the_split_rule():
+    # generated directly, in order, against the rule filtering every B(0)
+    # label, itself in canonical order
+    want = [
+        beta
+        for beta in checks.b0_labels(30)
+        if not candidate_oracle.split_rule(leading_partition(beta))
+    ]
+    for d in range(1, 31):
+        assert generator_candidates(d) == [b for b in want if weight(b) <= d]
 
 
 def test_non_candidates_are_products():
@@ -343,12 +357,6 @@ def test_evaluate_monomial():
     assert realize(evaluate_monomial(((0, 2), (0, 2)))) == g_poly(
         (0, 2)
     ) * g_poly((0, 2))
-
-
-@pytest.mark.parametrize("degree", range(4, 12))
-def test_no_relations_below_degree_twelve(degree):
-    gens = generator_candidates(degree)
-    assert find_relations(degree, gens) == []
 
 
 @pytest.mark.parametrize("degree", [12, 18, 22])
@@ -368,6 +376,27 @@ def test_monomials_of_weight_lists_each_product_once_in_order(degree):
         assert m == tuple(g for g, k in zip(gens, counts) for _ in range(k))
         assert sum(weight(g) for g in m) == degree
     assert copies == sorted(set(copies), reverse=True)
+
+
+def test_relation_columns_fold_one_product_per_prefix(monkeypatch):
+    # each column find_relations builds is the product evaluate_monomial
+    # folds, made with one j_product per distinct nonempty prefix
+    j_product = invariants.j_product
+    calls = []
+
+    def counted(c1, c2):
+        calls.append(1)
+        return j_product(c1, c2)
+
+    for degree in range(2, 19):
+        monomials = _monomials_of_weight(generator_candidates(degree), degree)
+        want = [evaluate_monomial(mono) for mono in monomials]
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(invariants, "j_product", counted)
+            assert _monomial_products(monomials) == want
+        prefixes = {mono[:k] for mono in monomials for k in range(1, len(mono) + 1)}
+        assert len(calls) == len(prefixes)
 
 
 # Relation counts in degrees 1..18.  No published table goes this far; the

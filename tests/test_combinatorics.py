@@ -15,6 +15,8 @@ from jring.combinatorics import (
     weight,
 )
 
+import enumeration_oracle
+
 
 def test_enumerate_basic_examples():
     assert enumerate_compositions(4, 2) == [(2, 1), (0, 2)]
@@ -50,6 +52,24 @@ def test_first_slices_partition_the_index_set():
                 pieces.extend(enumerate_compositions(n, ell, first=i))
             assert sorted(pieces) == sorted(whole)
             assert len(set(pieces)) == len(pieces)
+
+
+def test_enumerators_match_the_search_and_sort_oracle():
+    # in order, for every slice n <= 24 (and the empty ones ell > n) and,
+    # from length 2 on (lengths 0 and 1 have their own conventions), every
+    # first slice, with first = -1 and n + 1 empty
+    for n in range(0, 25):
+        for ell in range(0, n + 3):
+            assert enumerate_partitions(n, ell) == enumeration_oracle.partitions(n, ell)
+            assert enumerate_compositions(n, ell) == enumeration_oracle.compositions(
+                n, ell
+            )
+            if ell < 2:
+                continue
+            for first in range(-1, n + 2):
+                assert enumerate_compositions(
+                    n, ell, first
+                ) == enumeration_oracle.compositions(n, ell, first)
 
 
 def test_enumerate_partitions_counts_and_degenerate_sizes():

@@ -157,6 +157,16 @@ def test_j_product_bilinear():
     assert got == realize(left) * realize(right)
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.sampled_from(b0_labels(10)), min_size=3, max_size=3))
+def test_j_product_is_commutative_and_associative(triple):
+    # the structure constants of a commutative ring, on drawn B(0) labels
+    # of weight at most 10
+    a, b, c = ({beta: 1} for beta in triple)
+    assert j_product(a, b) == j_product(b, a)
+    assert j_product(j_product(a, b), c) == j_product(a, j_product(b, c))
+
+
 def test_j_product_rejects_labels_outside_kernel_support():
     with pytest.raises(ValueError):
         j_product({(2, 1): 1}, {(1,): 1})
