@@ -20,7 +20,6 @@ from .xring import (
 from .symfun import expand_elementary_product, transition_matrix, waring_coefficient
 from .invariants import (
     ch_numeric,
-    ch_series,
     chern_coefficients,
     g_poly,
     j_product,

@@ -9,11 +9,10 @@ and their relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from . import invariants, symfun
+from . import invariants
 from .combinatorics import (
     Composition,
     Partition,
@@ -29,17 +28,7 @@ from .xring import XPolynomial
 # ---------------------------------------------------------------------------
 # Exact integer linear algebra
 
-Row = list[int]
 SparseRow = dict[int, int]  # column -> nonzero entry
-
-
-def _is_dense(rows: Sequence) -> bool:
-    # rows are dense lists unless they are dicts; no rows count as sparse
-    return bool(rows) and not isinstance(rows[0], dict)
-
-
-def _sparse(row: Sequence[int]) -> SparseRow:
-    return {c: x for c, x in enumerate(row) if x}
 
 
 def _primitive(row: SparseRow) -> SparseRow:
@@ -66,26 +55,22 @@ def _cancel(row: SparseRow, pivot_row: SparseRow, c: int) -> None:
             del row[k]
 
 
-def rref(rows: Sequence) -> tuple[list, list[int]]:
+def rref(rows: Sequence[Mapping]) -> tuple[list[dict], list]:
     """Reduced row echelon form over Z; returns (rows, pivot columns).
 
-    Sparse, fraction-free Gauss-Jordan elimination.  Rows are dense integer
-    lists or sparse {column: entry} dicts, and the result rows take the form
-    of the input.  Each input row, sparsest first, is cancelled against the
-    pivot rows at its first column (a row is only ever replaced by an
-    integer combination of itself and a pivot row) until it starts a new
-    pivot, which is made primitive; one back-reduction at the end clears the
-    other pivot columns.  Each returned row is primitive, with a positive
-    pivot and zeros in the other pivot columns: the primitive integer
-    multiple of the reduced row over Q, which is unique, so the order in
-    which the rows are taken does not matter.
+    Sparse, fraction-free Gauss-Jordan elimination over {column: entry}
+    rows; zero entries are allowed.  Column keys need only be orderable, and
+    columns are taken in their sorted order.  Each input row, sparsest
+    first, is cancelled against the pivot rows at its first column (a row is
+    only ever replaced by an integer combination of itself and a pivot row)
+    until it starts a new pivot, which is made primitive; one back-reduction
+    at the end clears the other pivot columns.  Each returned row is
+    primitive, with a positive pivot and zeros in the other pivot columns:
+    the primitive integer multiple of the reduced row over Q, which is
+    unique, so the order in which the rows are taken does not matter.
     """
-    dense = _is_dense(rows)
-    work = [
-        _sparse(r) if dense else {c: x for c, x in r.items() if x}
-        for r in rows
-    ]
-    by_pivot: dict[int, SparseRow] = {}
+    work = [{c: x for c, x in r.items() if x} for r in rows]
+    by_pivot: dict = {}
     for row in sorted(work, key=len):
         while row:
             c = min(row)
@@ -104,11 +89,7 @@ def rref(rows: Sequence) -> tuple[list, list[int]]:
             _cancel(row, by_pivot[c], c)
         if hits:
             by_pivot[pc] = _primitive(row)
-    reduced = [by_pivot[pc] for pc in pivots]
-    if dense:
-        ncols = len(rows[0])
-        reduced = [[row.get(c, 0) for c in range(ncols)] for row in reduced]
-    return reduced, pivots
+    return [by_pivot[pc] for pc in pivots], pivots
 
 
 def _rows_of(columns: Iterable[Mapping]) -> list[SparseRow]:
@@ -122,20 +103,18 @@ def _rows_of(columns: Iterable[Mapping]) -> list[SparseRow]:
     return list(rows.values())
 
 
-def rank(rows: Sequence) -> int:
-    """Rank over Q of dense or sparse integer rows."""
+def rank(rows: Sequence[Mapping]) -> int:
+    """Rank over Q of sparse integer rows."""
     return len(rref(rows)[1])
 
 
-def nullspace(rows: Sequence, ncols: int) -> list:
+def nullspace(rows: Sequence[Mapping], ncols: int) -> list[SparseRow]:
     """Integer basis of {v : A v = 0}, one primitive vector per free column.
 
-    The vectors are dense lists or sparse dicts, like the rows of A.
+    The rows of A and the returned vectors are sparse {column: entry} dicts
+    whose columns are 0..ncols-1.
     """
     red, pivots = rref(rows)
-    dense = _is_dense(rows)
-    if dense:
-        red = [_sparse(row) for row in red]
     pivot_set = set(pivots)
     # for each free column, the (pivot column, entry, pivot) of each reduced
     # row that has an entry there
@@ -146,19 +125,18 @@ def nullspace(rows: Sequence, ncols: int) -> list:
         for c, x in row.items():
             if c != pc:
                 meets[c].append((pc, x, row[pc]))
-    basis: list = []
+    basis: list[SparseRow] = []
     for fc, entries in meets.items():
         scale = lcm(*(piv for _, _, piv in entries))
         v = {fc: scale}
         for pc, x, piv in entries:
             v[pc] = -x * scale // piv
-        v = _primitive(v)
-        basis.append([v.get(c, 0) for c in range(ncols)] if dense else v)
+        basis.append(_primitive(v))
     return basis
 
 
-def in_span(vector, basis: Sequence) -> bool:
-    """True iff vector is a rational linear combination of the basis rows.
+def in_span(vector: Mapping, basis: Sequence[Mapping]) -> bool:
+    """True iff the sparse vector is a rational combination of the basis rows.
 
     That is, iff appending it to the rows leaves the rank unchanged.
     """
@@ -254,14 +232,6 @@ def dimension_table(n_max: int) -> DimensionTable:
         totals[n] = sum(row)
         below = current + [[]]
     return DimensionTable(n_max, dims, totals)
-
-
-def g_expansion(
-    p: XPolynomial, n: int, ell: int
-) -> dict[Composition, int | Fraction]:
-    """Expand a homogeneous (n, ell) polynomial over the g_beta basis."""
-    tm = symfun.transition_matrix(n, ell)
-    return tm.solve_g_coefficients(dict(p.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +409,9 @@ def find_relations(
     return [{monomials[j]: c for j, c in sorted(v.items())} for v in kernel]
 
 
-def relation_vector(
-    relation: Relation, monomials: Sequence[Monomial]
-) -> Row:
-    return [relation.get(m, 0) for m in monomials]
-
-
 def relation_in_span(relation: Relation, relations: Sequence[Relation]) -> bool:
-    """Membership of a relation in the span of a computed relation basis."""
-    monomials = sorted(
-        {m for r in list(relations) + [relation] for m in r}
-    )
-    basis = [relation_vector(r, monomials) for r in relations]
-    return in_span(relation_vector(relation, monomials), basis)
+    """Membership of a relation in the span of a computed relation basis.
+
+    The relations are rows keyed by monomial.
+    """
+    return in_span(relation, relations)

@@ -94,6 +94,11 @@ def sorted_combination(comb: invariants.JCombination):
     return sorted(comb.items(), key=lambda kv: composition_sort_key(kv[0]))
 
 
+def _g_latex(beta: Composition) -> str:
+    label = ",".join(str(x) for x in beta) if beta else r"\emptyset"
+    return f"g_{{({label})}}"
+
+
 def render_combination(comb: invariants.JCombination, fmt: str) -> str:
     items = sorted_combination(comb)
     if fmt == "json":
@@ -101,16 +106,7 @@ def render_combination(comb: invariants.JCombination, fmt: str) -> str:
             [{"beta": list(b), "coeff": str(c)} for b, c in items]
         )
     if fmt == "latex":
-        out = ""
-        for b, c in items:
-            label = ",".join(str(x) for x in b) if b else r"\emptyset"
-            mag = "" if abs(c) == 1 else str(abs(c))
-            body = f"{mag}g_{{({label})}}"
-            if not out:
-                out = body if c > 0 else f"-{body}"
-            else:
-                out += f" + {body}" if c > 0 else f" - {body}"
-        return out or "0"
+        return _render_terms(items, _g_latex, joiner="")
     bits = []
     for b, c in items:
         label = "(" + ",".join(str(x) for x in b) + ")" if b else "(empty)"
@@ -242,8 +238,7 @@ def cmd_basis(args) -> int:
     for b in betas:
         poly = invariants.g_poly(b)
         if args.format == "latex":
-            label = ",".join(str(x) for x in b) if b else r"\emptyset"
-            print(f"g_{{({label})}} &= {render_polynomial_latex(poly)} \\\\")
+            print(f"{_g_latex(b)} &= {render_polynomial_latex(poly)} \\\\")
         else:
             print(f"g{beta_label(b)} = {render_polynomial_text(poly)}")
     return 0
@@ -370,7 +365,7 @@ def cmd_generators(args) -> int:
         return 0
     for g in gens:
         if args.format == "latex":
-            print("g_{(" + ",".join(str(x) for x in g) + ")}")
+            print(_g_latex(g))
         else:
             print(f"g{beta_label(g)}  (degree {weight(g)})")
     return 0

@@ -8,7 +8,6 @@ empty label (): realize({(): 1}) == 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -188,35 +187,6 @@ def elementary_symmetric_values(ks: Sequence[int]) -> list[int]:
 def e_power_value(beta: Composition, ks: Sequence[int]) -> int:
     es = elementary_symmetric_values(ks)
     return math.prod(es[j] ** b for j, b in enumerate(beta, start=1))
-
-
-@dataclass
-class ChSeries:
-    """Degree-by-degree basis expansion of the length-l Chern character."""
-
-    ell: int
-    max_degree: int
-    # cells[n][beta] = g_beta for beta in B_n^(l)
-    cells: dict[int, dict[Composition, XPolynomial]]
-
-    def specialize(self, ks: Sequence[int], n: int) -> XPolynomial:
-        """Evaluate sum e^beta(ks) g_beta for the degree-n cell."""
-        if len(ks) != self.ell:
-            raise ValueError("need exactly ell numeric values")
-        out = XPolynomial.zero()
-        for beta, g in self.cells.get(n, {}).items():
-            out = out + g.scale(e_power_value(beta, ks))
-        return out
-
-
-def ch_series(ell: int, max_degree: int) -> ChSeries:
-    if ell < 1 or max_degree < ell:
-        raise ValueError("need max_degree >= ell >= 1")
-    cells = {
-        n: {beta: g_poly(beta) for beta in enumerate_compositions(n, ell)}
-        for n in range(ell, max_degree + 1)
-    }
-    return ChSeries(ell, max_degree, cells)
 
 
 def ch_numeric(ks: Sequence[int], max_degree: int) -> XPolynomial:

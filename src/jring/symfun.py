@@ -42,7 +42,6 @@ from .combinatorics import (
     enumerate_compositions,
     enumerate_partitions,
     is_composition,
-    leading_partition,
     weight,
 )
 
@@ -99,22 +98,23 @@ def expand_elementary_product(
     """Coefficients of e^beta over the m_lambda basis in ell variables.
 
     Multiplies by e_1, ..., e_{l-1} in turn in partition space.  The
-    e_l^{beta_l} factor is divided out first (it just shifts every part),
-    so every lambda that appears has exactly ell parts.  The terms of each
-    m_mu * e_j are read from the raise table, which is filled as needed; a
-    table may be shared by the labels of one (n, ell) slice, and without
-    one a fresh table is used.
+    e_l^{beta_l} factor comes first, as the start state m_{(beta_l^l)}:
+    multiplying by e_l^s adds s to every part, and the Pieri coefficients
+    depend only on the multiplicities of equal parts, which that shift
+    keeps.  So every lambda that appears has exactly ell parts.  The terms
+    of each m_mu * e_j are read from the raise table, which is filled as
+    needed; a table may be shared by the labels of one (n, ell) slice, and
+    without one a fresh table is used.
     """
     if not is_composition(beta) or len(beta) != ell or ell < 1:
         raise ValueError(f"{beta} is not a valid index of length {ell}")
     if table is None:
         table = {}
-    state: dict[Partition, int] = {(0,) * ell: 1}
+    state: dict[Partition, int] = {(beta[-1],) * ell: 1}
     for j in range(1, ell):
         for _ in range(beta[j - 1]):
             state = _times_elementary(state, j, table)
-    shift = beta[-1]
-    return {tuple(p + shift for p in mu): c for mu, c in state.items()}
+    return state
 
 
 @dataclass
@@ -141,34 +141,6 @@ class TransitionMatrix:
     def g_column(self, beta: Composition) -> dict[Partition, int]:
         """Coefficients of the invariant polynomial labelled by beta."""
         return {lam: row[beta] for lam, row in self.rows.items() if beta in row}
-
-    def solve_g_coefficients(
-        self, vector: dict[Partition, int | Fraction]
-    ) -> dict[Composition, int | Fraction]:
-        """Express an x-coefficient vector over the g_beta column basis.
-
-        Solves M c = v by back substitution: the column at beta is unit at
-        the leading partition of beta and otherwise supported on dominance-
-        larger partitions, so starting from the dominance-smallest lead the
-        solution is exact and unique.  M is integral and unitriangular, so an
-        integral vector gives int coefficients and a rational one Fractions.
-        """
-        remaining = dict(vector)
-        coeffs: dict[Composition, int | Fraction] = {}
-        for beta in reversed(self.compositions):
-            lead = leading_partition(beta)
-            c = remaining.get(lead, 0)
-            if c != 0:
-                coeffs[beta] = c
-                for lam, m in self.g_column(beta).items():
-                    newval = remaining.get(lam, 0) - c * m
-                    if newval == 0:
-                        remaining.pop(lam, None)
-                    else:
-                        remaining[lam] = newval
-        if remaining:
-            raise ValueError("vector is not in the span of the g basis")
-        return coeffs
 
 
 _memo: dict[tuple[int, int], TransitionMatrix] = {}

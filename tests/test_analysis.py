@@ -13,13 +13,13 @@ from jring.analysis import (
     dimension_table,
     evaluate_monomial,
     find_relations,
-    g_expansion,
     generator_candidates,
     in_span,
     kernel_basis,
     nullspace,
     poincare_series,
     poincare_series_bivariate,
+    relation_in_span,
     rref,
 )
 from jring.combinatorics import (
@@ -31,6 +31,7 @@ from jring.combinatorics import (
 from jring.invariants import g_poly, realize
 from jring.xring import XPolynomial, derivation_d
 
+from appendix_data import RELATION_A, RELATION_B
 import candidate_oracle
 import rational_rref_oracle
 
@@ -39,29 +40,41 @@ import rational_rref_oracle
 # exact linear algebra
 
 
+def _sparse(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def _dense(v, ncols):
+    return [v.get(c, 0) for c in range(ncols)]
+
+
 def test_rref_examples():
-    red, pivots = rref([[2, 4], [1, 2]])
-    assert red == [[1, 2]]
+    red, pivots = rref([{0: 2, 1: 4}, {0: 1, 1: 2}])
+    assert red == [{0: 1, 1: 2}]
     assert pivots == [0]
-    red, pivots = rref([[0, 1], [1, 0]])
-    assert red == [[1, 0], [0, 1]]
+    red, pivots = rref([{1: 1}, {0: 1, 1: 0}])
+    assert red == [{0: 1}, {1: 1}]
     assert pivots == [0, 1]
+    # any orderable column keys
+    red, pivots = rref([{"b": 2, "a": -4}, {"a": 1}])
+    assert red == [{"a": 1}, {"b": 1}]
+    assert pivots == ["a", "b"]
 
 
 def test_nullspace_solves():
     rows = [[1, 2, 3], [2, 4, 6]]
-    basis = nullspace(rows, 3)
+    basis = nullspace([_sparse(r) for r in rows], 3)
     assert len(basis) == 2
     for v in basis:
         for row in rows:
-            assert sum(a * b for a, b in zip(row, v)) == 0
+            assert sum(a * b for a, b in zip(row, _dense(v, 3))) == 0
 
 
 def test_in_span():
-    basis = [[1, 0, 1], [0, 1, 1]]
-    assert in_span([2, 3, 5], basis)
-    assert not in_span([1, 1, 1], basis)
-    assert in_span([0] * 3, [])
+    basis = [{0: 1, 2: 1}, {1: 1, 2: 1}]
+    assert in_span({0: 2, 1: 3, 2: 5}, basis)
+    assert not in_span({0: 1, 1: 1, 2: 1}, basis)
+    assert in_span({0: 0, 2: 0}, [])
 
 
 @st.composite
@@ -93,23 +106,25 @@ def _rational(rows):
 def test_integer_elimination_matches_rational_oracle(system):
     rows, vector = system
     ncols = len(rows[0])
-    red, pivots = rref(rows)
+    sparse_rows = [_sparse(r) for r in rows]
+    red, pivots = rref(sparse_rows)
     q_red, q_pivots = rational_rref_oracle.rref(_rational(rows))
     assert pivots == q_pivots
     assert len(red) == len(q_red)
     # each row is the primitive, positive-pivot multiple of the oracle row,
     # whose pivot entry is 1
     for row, q_row, pc in zip(red, q_red, pivots):
+        row = _dense(row, ncols)
         assert all(type(x) is int for x in row)
         assert row[pc] > 0 and gcd(*row) == 1
         assert [Fraction(x) for x in row] == [row[pc] * y for y in q_row]
-    kernel = nullspace(rows, ncols)
+    kernel = [_dense(v, ncols) for v in nullspace(sparse_rows, ncols)]
     assert len(kernel) == ncols - len(pivots)
     for v in kernel:
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
     assert len(rational_rref_oracle.rref(_rational(kernel))[1]) == len(kernel)
-    assert in_span(vector, rows) == rational_rref_oracle.in_span(
+    assert in_span(_sparse(vector), sparse_rows) == rational_rref_oracle.in_span(
         [Fraction(x) for x in vector], _rational(rows)
     )
 
@@ -151,40 +166,33 @@ def sparse_system(draw):
     return rows, ncols, draw(st.sampled_from([combination, arbitrary]))
 
 
-def _dense(v, ncols):
-    return [v.get(c, 0) for c in range(ncols)] if isinstance(v, dict) else v
-
-
 @settings(max_examples=60, deadline=None, database=None)
 @given(sparse_system())
 def test_sparse_elimination_matches_rational_oracle(system):
     rows, ncols, vector = system
-    sparse_rows = [{c: x for c, x in enumerate(r) if x} for r in rows]
+    sparse_rows = [_sparse(r) for r in rows]
     q_red, q_pivots = rational_rref_oracle.rref(_rational(rows))
-    for given_rows in (rows, sparse_rows):
-        red, pivots = rref(given_rows)
-        assert pivots == q_pivots
-        assert len(red) == len(q_red)
-        for row, q_row, pc in zip(red, q_red, pivots):
-            row = _dense(row, ncols)
-            assert all(type(x) is int for x in row)
-            assert row[pc] > 0 and gcd(*row) == 1
-            assert [Fraction(x) for x in row] == [row[pc] * y for y in q_row]
-        kernel = [_dense(v, ncols) for v in nullspace(given_rows, ncols)]
-        free = [c for c in range(ncols) if c not in pivots]
-        assert len(kernel) == len(free)
-        for fc, v in zip(free, kernel):
-            assert gcd(*v) == 1
-            # independent: on the free columns the vectors are diagonal
-            assert [c for c in free if v[c]] == [fc]
-            for row in rows:
-                assert sum(a * b for a, b in zip(row, v)) == 0
+    red, pivots = rref(sparse_rows)
+    assert pivots == q_pivots
+    assert len(red) == len(q_red)
+    for row, q_row, pc in zip(red, q_red, pivots):
+        row = _dense(row, ncols)
+        assert all(type(x) is int for x in row)
+        assert row[pc] > 0 and gcd(*row) == 1
+        assert [Fraction(x) for x in row] == [row[pc] * y for y in q_row]
+    kernel = [_dense(v, ncols) for v in nullspace(sparse_rows, ncols)]
+    free = [c for c in range(ncols) if c not in pivots]
+    assert len(kernel) == len(free)
+    for fc, v in zip(free, kernel):
+        assert gcd(*v) == 1
+        # independent: on the free columns the vectors are diagonal
+        assert [c for c in free if v[c]] == [fc]
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, v)) == 0
     want = rational_rref_oracle.in_span(
         [Fraction(x) for x in vector], _rational(rows)
     )
-    assert in_span(vector, rows) == want
-    sparse_vector = {c: x for c, x in enumerate(vector) if x}
-    assert in_span(sparse_vector, sparse_rows) == want
+    assert in_span(_sparse(vector), sparse_rows) == want
 
 
 def test_empty_system():
@@ -222,20 +230,15 @@ def test_kernel_basis_is_in_the_kernel():
 
 
 def test_kernel_basis_spans_the_invariant_slice():
-    # each g_beta with beta in B_n^(l)(0) expands over the kernel basis
-    for n in range(1, 9):
+    # each g_beta with beta in B_n^(l)(0) expands over the kernel basis,
+    # both taken as rows keyed by partition
+    for n in range(1, 17):
         for ell in range(1, n + 1):
-            basis = kernel_basis(n, ell)
+            rows = [p.terms for p in kernel_basis(n, ell)]
             labels = enumerate_compositions(n, ell, first=0)
-            assert len(basis) == len(labels)
-            if not basis:
-                continue
-            keys = sorted({lam for p in basis for lam in p.terms})
-            rows = [[int(p.coefficient(lam)) for lam in keys] for p in basis]
+            assert len(rows) == len(labels)
             for beta in labels:
-                g = g_poly(beta)
-                vec = [int(g.coefficient(lam)) for lam in keys]
-                assert in_span(vec, rows)
+                assert in_span(g_poly(beta).terms, rows)
 
 
 def test_derivation_columns_match_derivation_d():
@@ -250,11 +253,6 @@ def test_derivation_columns_match_derivation_d():
             for lam, column in zip(domain, columns):
                 image = derivation_d(XPolynomial.monomial(lam))
                 assert {codomain[i]: c for i, c in column.items()} == image.terms
-
-
-def test_g_expansion_round_trip():
-    p = g_poly((0, 2)).scale(3) - g_poly((2, 1)).scale(5)
-    assert g_expansion(p, 4, 2) == {(0, 2): 3, (2, 1): -5}
 
 
 # ---------------------------------------------------------------------------
@@ -413,3 +411,17 @@ def test_relation_counts(degree):
     # lead, so the products span J_degree: relations = monomials - dim
     monomials = _monomials_of_weight(gens, degree)
     assert count == len(monomials) - poincare_series(degree)[degree]
+
+
+def test_relation_in_span():
+    # criterion 11 checks two relations inside the span; these are outside
+    # it, or inside it in a form find_relations never returns
+    relations = find_relations(12, generator_candidates(12))
+    changed = dict(RELATION_A)
+    changed[((0, 3), (0, 0, 2))] = 1
+    assert not relation_in_span(changed, relations)
+    stranger = ((1,),) * 12
+    assert all(stranger not in r for r in relations)
+    assert not relation_in_span({**RELATION_A, stranger: 1}, relations)
+    scaled = {m: -3 * c for m, c in RELATION_A.items()}
+    assert relation_in_span({**scaled, stranger: 0}, relations)

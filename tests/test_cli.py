@@ -52,6 +52,12 @@ def test_render_combination():
         render_combination(comb, "latex")
         == "2g_{(0,2,0,1)} + g_{(0,0,0,2)}"
     )
+    # signs, unit magnitudes and the empty label
+    assert (
+        render_combination({(): -1, (0, 1): -3, (1,): 1}, "latex")
+        == r"-g_{(\emptyset)} + g_{(1)} - 3g_{(0,1)}"
+    )
+    assert render_combination({}, "latex") == "0"
 
 
 def test_parse_beta():

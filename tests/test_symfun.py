@@ -1,6 +1,5 @@
 import inspect
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -183,26 +182,6 @@ def test_g_column_example():
     tm = transition_matrix(4, 2)
     assert tm.g_column((0, 2)) == {(2, 2): 1, (3, 1): -2}
     assert tm.g_column((2, 1)) == {(3, 1): 1}
-
-
-def test_solve_g_coefficients_round_trip():
-    tm = transition_matrix(6, 3)
-    vector = {}
-    want = {}
-    for i, beta in enumerate(tm.compositions):
-        c = Fraction(i + 1, 3)
-        want[beta] = c
-        for lam, m in tm.g_column(beta).items():
-            vector[lam] = vector.get(lam, Fraction(0)) + c * m
-    vector = {k: v for k, v in vector.items() if v != 0}
-    assert tm.solve_g_coefficients(vector) == want
-
-
-def test_solve_rejects_vectors_outside_span():
-    tm = transition_matrix(4, 2)
-    with pytest.raises(ValueError):
-        # x_4 has length 1 and is not a combination of the length-2 columns
-        tm.solve_g_coefficients({(2, 2): Fraction(1), (4,): Fraction(1)})
 
 
 @pytest.mark.parametrize(
