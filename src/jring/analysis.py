@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import invariants
@@ -192,13 +193,8 @@ def kernel_basis(n: int, ell: int) -> list[XPolynomial]:
 class DimensionTable:
     """dim of each (degree, length) slice of the kernel, with row totals."""
 
-    n_max: int
     dims: dict[int, list[int]]  # dims[n][ell - 1] for ell = 1..n
     totals: dict[int, int]
-
-    def cell(self, n: int, ell: int) -> int:
-        row = self.dims[n]
-        return row[ell - 1] if 1 <= ell <= len(row) else 0
 
 
 def dimension_table(n_max: int) -> DimensionTable:
@@ -231,7 +227,7 @@ def dimension_table(n_max: int) -> DimensionTable:
         dims[n] = row
         totals[n] = sum(row)
         below = current + [[]]
-    return DimensionTable(n_max, dims, totals)
+    return DimensionTable(dims, totals)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +253,6 @@ def poincare_series(order: int, ell: Optional[int] = None) -> list[int]:
     if ell is not None:
         if ell < 0:
             raise ValueError("need ell >= 0")
-        if ell == 0:
-            return [1] + [0] * order
-        if ell == 1:
-            return [0, 1] + [0] * (order - 1)
         out = [0] * (order + 1)
         if ell <= order:
             out[ell] = 1
@@ -277,32 +269,22 @@ def poincare_series(order: int, ell: Optional[int] = None) -> list[int]:
 def poincare_series_bivariate(order: int) -> list[dict[int, int]]:
     """Coefficient of t^n as {length: dim}; the auxiliary u-grading.
 
-    Expands (1 - t) / prod_i (1 - u t^i) + t, truncating the product at
-    factor index = order.
+    The series is (1 - t) / prod_{i >= 1} (1 - u t^i) + t.  In the product
+    u^l t^n has coefficient p(n, l), the number of partitions of n into
+    exactly l parts, so row n >= 1 is {l: p(n, l) - p(n - 1, l)} (the + t
+    cancels row 1 at l = 0) and row 0 is {0: 1}.  A partition has a part 1
+    to drop or loses 1 from each part: p(n, l) = p(n-1, l-1) + p(n-l, l).
     """
     if order < 1:
         raise ValueError("need order >= 1")
-    out: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(order)]
-    for i in range(1, order + 1):
-        # multiply by 1 / (1 - u t^i) = sum_m u^m t^{i m}
-        nxt: list[dict[int, int]] = [dict(c) for c in out]
-        for m in range(1, order // i + 1):
-            for n in range(0, order + 1 - i * m):
-                for l, c in out[n].items():
-                    key = l + m
-                    tgt = nxt[n + i * m]
-                    tgt[key] = tgt.get(key, 0) + c
-        out = nxt
-    # multiply by (1 - t)
-    final: list[dict[int, int]] = [{} for _ in range(order + 1)]
-    for n in range(order + 1):
-        for l, c in out[n].items():
-            final[n][l] = final[n].get(l, 0) + c
-        if n >= 1:
-            for l, c in out[n - 1].items():
-                final[n][l] = final[n].get(l, 0) - c
-    final[1][0] = final[1].get(0, 0) + 1
-    return [{l: c for l, c in row.items() if c != 0} for row in final]
+    p = [[1] + [0] * order]  # p[n][l], zero for l > n
+    out: list[dict[int, int]] = [{0: 1}]
+    for n in range(1, order + 1):
+        row = [0] + [p[n - 1][l - 1] + p[n - l][l] for l in range(1, n + 1)]
+        p.append(row + [0] * (order - n))
+        diffs = enumerate(map(sub, p[n], p[n - 1]))
+        out.append({l: c for l, c in diffs if l and c})
+    return out
 
 
 # ---------------------------------------------------------------------------

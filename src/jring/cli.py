@@ -30,14 +30,14 @@ def render_polynomial_json(p: XPolynomial) -> list[dict]:
     ]
 
 
-def _monomial_text(lam, sep: str) -> str:
+def _monomial_text(lam) -> str:
     if not lam:
         return "1"
     pieces = []
     for v in sorted(set(lam)):
         e = lam.count(v)
         pieces.append(f"x{v}" + (f"^{e}" if e > 1 else ""))
-    return sep.join(pieces)
+    return "*".join(pieces)
 
 
 def _monomial_latex(lam) -> str:
@@ -73,9 +73,7 @@ def _render_terms(terms, mono_fn, joiner: str = " ") -> str:
 
 
 def render_polynomial_text(p: XPolynomial) -> str:
-    return _render_terms(
-        p.sorted_terms(), lambda lam: _monomial_text(lam, "*"), joiner="*"
-    )
+    return _render_terms(p.sorted_terms(), _monomial_text, joiner="*")
 
 
 def render_polynomial_latex(p: XPolynomial) -> str:
@@ -107,11 +105,7 @@ def render_combination(comb: invariants.JCombination, fmt: str) -> str:
         )
     if fmt == "latex":
         return _render_terms(items, _g_latex, joiner="")
-    bits = []
-    for b, c in items:
-        label = "(" + ",".join(str(x) for x in b) + ")" if b else "(empty)"
-        bits.append(f"{c}*g{label}")
-    return " + ".join(bits) if bits else "0"
+    return " + ".join(f"{c}*g{beta_label(b)}" for b, c in items) or "0"
 
 
 def beta_label(beta: Composition) -> str:
@@ -271,10 +265,7 @@ def cmd_chern(args) -> int:
         poly = invariants.ch_numeric(args.k, args.max_degree)
         print(render_polynomial(poly, args.format))
         return 0
-    table = invariants.chern_coefficients(args.ell, args.max_degree)
-    items = sorted(
-        table.items(), key=lambda kv: composition_sort_key((0,) + kv[0])
-    )
+    items = invariants.chern_coefficients(args.ell, args.max_degree).items()
     if args.format == "json":
         payload = [
             {"exponents": list(k), "polynomial": render_polynomial_json(v)}
@@ -431,8 +422,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except ValueError as exc:
         print(f"jring: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        # the partition search recurses once per part
+        print(f"jring: input too large: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"jring: internal error: {exc}", file=sys.stderr)

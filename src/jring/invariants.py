@@ -144,31 +144,27 @@ def j_product(c1: JCombination, c2: JCombination) -> JCombination:
 def product_closed_form(a: int, b: int, c: Optional[int] = None) -> JCombination:
     """The displayed closed formulas for g_(0,a) g_(0,b) and g_(0,a) g_(0,b,c).
 
-    Terms whose factorial arguments would be negative are omitted.
+        g_(0,a) g_(0,b) = sum_{r=1}^{min(a,b)}
+            (a+b-2r)! / ((a-r)! (b-r)!) g_(0,a+b-2r,0,r)
+
+        g_(0,a) g_(0,b,c) = sum_{s=1}^{c} sum_{r=0}^{min(a-s,b)}
+            (a+b-2r-s)! / ((a-r-s)! (b-r)!) g_(0,a+b-2r-s,c-s,r,s)
+
+    So each coefficient is a binomial, C(a+b-2r, b-r) or C(a+b-2r-s, b-r);
+    over these ranges every one is positive and every label occurs once.
     """
     if a < 1 or b < 1 or (c is not None and c < 1):
         raise ValueError("closed product formulas need positive indices")
-    out: JCombination = {}
     if c is None:
-        for r in range(1, (a + b) // 2 + 1):
-            if a - r < 0 or b - r < 0:
-                continue
-            coeff = math.factorial(a + b - 2 * r) // (
-                math.factorial(a - r) * math.factorial(b - r)
-            )
-            key = (0, a + b - 2 * r, 0, r)
-            out[key] = out.get(key, 0) + coeff
-    else:
-        for s in range(1, c + 1):
-            for r in range(0, min(a - s, b) + 1):
-                if a - r - s < 0 or b - r < 0 or a + b - 2 * r - s < 0:
-                    continue
-                coeff = math.factorial(a + b - 2 * r - s) // (
-                    math.factorial(a - r - s) * math.factorial(b - r)
-                )
-                key = (0, a + b - 2 * r - s, c - s, r, s)
-                out[key] = out.get(key, 0) + coeff
-    return {k: v for k, v in out.items() if v != 0}
+        return {
+            (0, a + b - 2 * r, 0, r): math.comb(a + b - 2 * r, b - r)
+            for r in range(1, min(a, b) + 1)
+        }
+    return {
+        (0, a + b - 2 * r - s, c - s, r, s): math.comb(a + b - 2 * r - s, b - r)
+        for s in range(1, c + 1)
+        for r in range(0, min(a - s, b) + 1)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +204,8 @@ def chern_coefficients(
     """The e_1 = 0 specialization: coefficient of e_2^{b2} ... e_l^{bl}.
 
     Keyed by the exponent vector (b2, ..., bl); the value is exactly the
-    basis polynomial labelled (0, b2, ..., bl).
+    basis polynomial labelled (0, b2, ..., bl).  The keys come in the
+    canonical order of those labels: by degree, then as enumerated.
     """
     if ell < 2 or max_degree < ell:
         raise ValueError("need max_degree >= ell >= 2")

@@ -39,8 +39,8 @@ from typing import Optional
 from .combinatorics import (
     Composition,
     Partition,
-    enumerate_compositions,
     enumerate_partitions,
+    from_leading_partition,
     is_composition,
     weight,
 )
@@ -149,9 +149,7 @@ _memo: dict[tuple[int, int], TransitionMatrix] = {}
 def _build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
     # reads the rows of the slices (n - j, ell), 1 <= j <= ell, from the memo
     partitions = enumerate_partitions(n, ell)
-    compositions = enumerate_compositions(n, ell)
-    if len(partitions) != len(compositions):
-        raise RuntimeError(f"index sets out of sync at (n={n}, ell={ell})")
+    compositions = [from_leading_partition(lam) for lam in partitions]
     rows: dict[Partition, dict[Composition, int]] = {}
     # one Pieri step per partition, from the dominance-smallest upwards
     for lam in reversed(partitions):

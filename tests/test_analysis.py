@@ -270,7 +270,7 @@ def test_single_length_series_matches_cell_dimensions():
     for ell in range(1, 8):
         coeffs = poincare_series(12, ell)
         for n in range(1, 13):
-            assert coeffs[n] == table.cell(n, ell)
+            assert coeffs[n] == (table.dims[n][ell - 1] if ell <= n else 0)
 
 
 def test_bivariate_series():
@@ -279,6 +279,15 @@ def test_bivariate_series():
     total = poincare_series(24)
     for n in range(1, 25):
         assert sum(rows[n].values()) == total[n]
+    # row n counts B_n^(l)(0) by enumeration, past the rows that the
+    # dimension table reaches in the other tests
+    rows = poincare_series_bivariate(40)
+    for n in range(1, 41):
+        counts = {
+            ell: len(enumerate_compositions(n, ell, first=0))
+            for ell in range(1, n + 1)
+        }
+        assert rows[n] == {ell: k for ell, k in counts.items() if k}
 
 
 # ---------------------------------------------------------------------------

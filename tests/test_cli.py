@@ -240,6 +240,21 @@ def test_internal_error_exits_1_without_traceback(capsys, monkeypatch):
     assert captured.err == "jring: internal error: consistency check failed\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["basis", "--n", "1100", "--ell", "1100"], ["poly", "0," * 1099 + "1"]],
+    ids=["basis", "poly"],
+)
+def test_input_past_the_recursion_limit_exits_2(capsys, argv):
+    # the partition search recurses once per part
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("jring: input too large: ")
+    assert "internal error" not in captured.err
+
+
 def test_domain_error_exits_2(capsys):
     code = main(["lift", "0,2", "--max-degree", "2"])
     capsys.readouterr()

@@ -172,17 +172,17 @@ def test_j_product_rejects_labels_outside_kernel_support():
 
 
 def test_closed_form_two_row_products():
-    for a in range(1, 6):
-        for b in range(1, 6):
+    for a in range(1, 13):
+        for b in range(1, 13):
             assert product_closed_form(a, b) == j_product(
                 {(0, a): 1}, {(0, b): 1}
             )
 
 
 def test_closed_form_three_row_products():
-    for a in range(1, 5):
-        for b in range(1, 5):
-            for c in range(1, 5):
+    for a in range(1, 13):
+        for b in range(1, 13):
+            for c in range(1, 9):
                 assert product_closed_form(a, b, c) == j_product(
                     {(0, a): 1}, {(0, b, c): 1}
                 )
