@@ -1,9 +1,10 @@
 """Independent verification and exploration of the invariant ring.
 
 Re-derives the kernel of the lowering derivation by exact, sparse,
-fraction-free integer elimination, tabulates dimensions two independent ways,
-expands the closed-form Poincare series, and searches for algebra generators
-and their relations.
+fraction-free integer elimination, tabulates dimensions two independent ways
+(counting labels, and columns minus a rank of d that a unitriangular
+certificate proves), expands the closed-form Poincare series, and searches
+for algebra generators and their relations.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from math import gcd, lcm
 from operator import sub
 from typing import Iterable, Mapping, Optional, Sequence
 
-from . import invariants
+from . import invariants, xring
 from .combinatorics import (
     Composition,
     Partition,
@@ -152,25 +153,11 @@ def _derivation_columns(
     domain: Sequence[Partition], codomain: Sequence[Partition]
 ) -> list[SparseRow]:
     # column j of the matrix of d from the (n, ell) monomials in domain to
-    # the (n - 1, ell) ones in codomain.  As in xring.derivation_d, d x_lam
-    # lowers one part v >= 2 of each block of equal parts, with coefficient
-    # the size of the block; lowering the last part of the block keeps the
-    # tuple sorted.  Parts are weakly decreasing, so the scan stops at the
-    # first part below 2.
+    # the (n - 1, ell) ones in codomain, read off xring's lowering rule
     cod_pos = {mu: i for i, mu in enumerate(codomain)}
-    columns = []
-    for lam in domain:
-        column: SparseRow = {}
-        start = 0
-        while start < len(lam) and lam[start] >= 2:
-            v = lam[start]
-            end = start + 1
-            while end < len(lam) and lam[end] == v:
-                end += 1
-            column[cod_pos[lam[:end - 1] + (v - 1,) + lam[end:]]] = end - start
-            start = end
-        columns.append(column)
-    return columns
+    return [
+        {cod_pos[mu]: k for mu, k in xring.lowered(lam)} for lam in domain
+    ]
 
 
 def kernel_basis(n: int, ell: int) -> list[XPolynomial]:
@@ -201,8 +188,12 @@ def dimension_table(n_max: int) -> DimensionTable:
     """Kernel dimensions computed two independent ways and cross-checked.
 
     Counting method: |B_n^(l)(0)|.  Rank method: columns minus rank of the
-    matrix of d on the (n, l) monomial slice, by sparse, fraction-free
-    elimination of its columns.
+    matrix of d on the (n, l) monomial slice, where the rank is the number
+    of (n - 1, l) monomials: d is onto, which a unitriangular certificate
+    proves without elimination.  For mu at codomain index i, the column of
+    lam = (mu_1 + 1, mu_2, ...) has entry 1 at i, since lam_1 is a block of
+    its own, and its other entries lower a later block, so they sit at
+    lexicographically larger partitions, which the codomain lists first.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
@@ -215,9 +206,14 @@ def dimension_table(n_max: int) -> DimensionTable:
         row = []
         current = [enumerate_partitions(n, ell) for ell in range(1, n + 1)]
         for ell in range(1, n + 1):
+            codomain = below[ell - 1]
+            lifts = [(mu[0] + 1,) + mu[1:] for mu in codomain]
+            for i, column in enumerate(_derivation_columns(lifts, codomain)):
+                # an empty column fails the first test, so max never sees it
+                if column.get(i) != 1 or max(column) > i:
+                    raise RuntimeError(f"d is not onto at (n={n}, ell={ell})")
             by_count = len(enumerate_compositions(n, ell, first=0))
-            columns = _derivation_columns(current[ell - 1], below[ell - 1])
-            by_rank = len(columns) - rank(columns)
+            by_rank = len(current[ell - 1]) - len(codomain)
             if by_count != by_rank:
                 raise RuntimeError(
                     f"dimension mismatch at (n={n}, ell={ell}): "

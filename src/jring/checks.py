@@ -75,6 +75,21 @@ def derivation_lowers_first_index(n: int, ell: int) -> bool:
     return True
 
 
+def kernel_matches_basis(n: int, ell: int) -> bool:
+    """The kernel of d on slice (n, l) is the span of g_beta, beta in B_n^(l)(0).
+
+    The kernel comes from elimination.  Both sides are rows keyed by
+    partition, and their reduced echelon forms are canonical, so the spans
+    are equal exactly when the forms are.
+    """
+    kernel = [p.terms for p in analysis.kernel_basis(n, ell)]
+    basis = [
+        invariants.g_poly(beta).terms
+        for beta in combinatorics.enumerate_compositions(n, ell, first=0)
+    ]
+    return analysis.rref(kernel)[0] == analysis.rref(basis)[0]
+
+
 def products_realize(max_weight: int) -> bool:
     """realize(g_b g_b') = g_b * g_b' for B(0) labels b, b' up to max_weight."""
     labels = b0_labels(max_weight)
@@ -94,6 +109,7 @@ def run(max_n: int) -> list[tuple[str, bool]]:
         ("expansion times transition matrix is identity", expansion_inverts_matrix),
         ("Waring closed form matches matrix entries", waring_matches_matrix),
         ("derivation acts by lowering the first index", derivation_lowers_first_index),
+        ("kernel of d matches the span of the B(0) basis", kernel_matches_basis),
     ):
         results.append((name, all(check(n, ell) for n, ell in slices)))
     products = products_realize(max_n // 2)

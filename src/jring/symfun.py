@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .combinatorics import (
@@ -217,13 +216,11 @@ def waring_coefficient(beta: Composition) -> int:
     s = sum(beta)
     even_sum = sum(beta[i] for i in range(1, ell, 2))
     sign = (-1) ** (ell + 1 + even_sum)
-    value = (
-        Fraction(n - ell, s - 1)
-        * Fraction(math.factorial(s - 1))
-        / math.prod(math.factorial(b) for b in beta)
-        * beta[-1]
-        * sign
+    # (n - l) / (s - 1) * (s - 1)! is (n - l) (s - 2)!, and s >= 2 since n != l
+    value, rest = divmod(
+        (n - ell) * math.factorial(s - 2) * beta[-1],
+        math.prod(math.factorial(b) for b in beta),
     )
-    if value.denominator != 1:
+    if rest:
         raise RuntimeError(f"Waring coefficient for {beta} is not an integer")
-    return int(value)
+    return sign * value

@@ -127,17 +127,33 @@ class XPolynomial:
         return "XPolynomial(" + " + ".join(bits) + ")"
 
 
+def lowered(lam: Partition) -> list[tuple[Partition, int]]:
+    """The terms (mu, k) of d x_lam, one for each block of equal parts v >= 2.
+
+    By the Leibniz rule d lowers one part at a time.  Lowering any part of a
+    block of k equal parts v gives the same monomial, so each block gives one
+    term with coefficient k; lowering the block's last part keeps mu weakly
+    decreasing.  Parts are weakly decreasing, so the scan stops at the first
+    part below 2.  Distinct blocks give distinct mu.
+    """
+    out = []
+    start = 0
+    while start < len(lam) and lam[start] >= 2:
+        v = lam[start]
+        end = start + 1
+        while end < len(lam) and lam[end] == v:
+            end += 1
+        out.append((lam[:end - 1] + (v - 1,) + lam[end:], end - start))
+        start = end
+    return out
+
+
 def derivation_d(p: XPolynomial) -> XPolynomial:
     """Leibniz extension of d x_1 = 0, d x_i = x_{i-1}; lowers degree by 1."""
     out: dict[Partition, Coeff] = {}
     for lam, c in p.terms.items():
-        for idx in range(len(lam)):
-            if lam[idx] >= 2 and (idx == 0 or lam[idx - 1] != lam[idx]):
-                mult = sum(1 for q in lam if q == lam[idx])
-                key = tuple(
-                    sorted(lam[:idx] + (lam[idx] - 1,) + lam[idx + 1:], reverse=True)
-                )
-                out[key] = out.get(key, 0) + mult * c
+        for mu, k in lowered(lam):
+            out[mu] = out.get(mu, 0) + k * c
     return XPolynomial(out)
 
 

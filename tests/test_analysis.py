@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jring import checks, invariants
+from jring import analysis, checks, invariants, xring
 from jring.analysis import (
-    _derivation_columns,
     _monomial_products,
     _monomials_of_weight,
     dimension_table,
@@ -230,29 +229,10 @@ def test_kernel_basis_is_in_the_kernel():
 
 
 def test_kernel_basis_spans_the_invariant_slice():
-    # each g_beta with beta in B_n^(l)(0) expands over the kernel basis,
-    # both taken as rows keyed by partition
+    # the kernel from elimination equals the span of the B(0) g_beta
     for n in range(1, 17):
         for ell in range(1, n + 1):
-            rows = [p.terms for p in kernel_basis(n, ell)]
-            labels = enumerate_compositions(n, ell, first=0)
-            assert len(rows) == len(labels)
-            for beta in labels:
-                assert in_span(g_poly(beta).terms, rows)
-
-
-def test_derivation_columns_match_derivation_d():
-    # every monomial with n <= 18: the column written directly equals d of
-    # the one-term polynomial, read through the codomain index
-    for n in range(1, 19):
-        for ell in range(1, n + 1):
-            domain = enumerate_partitions(n, ell)
-            codomain = enumerate_partitions(n - 1, ell)
-            columns = _derivation_columns(domain, codomain)
-            assert len(columns) == len(domain)
-            for lam, column in zip(domain, columns):
-                image = derivation_d(XPolynomial.monomial(lam))
-                assert {codomain[i]: c for i, c in column.items()} == image.terms
+            assert checks.kernel_matches_basis(n, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +242,25 @@ def test_derivation_columns_match_derivation_d():
 def test_total_series_matches_dimension_totals():
     # the rank route of dimension_table against the total series and, row
     # by row, the bivariate series, well past the published rows
-    assert [ok for _, ok in checks.dimension_checks(24)] == [True] * 3
+    assert [ok for _, ok in checks.dimension_checks(30)] == [True] * 3
+
+
+def test_dimension_table_eliminates_nothing(monkeypatch):
+    # the rank route checks its certificate instead of reducing
+    def refuse(*args):
+        raise AssertionError("dimension_table eliminated")
+
+    monkeypatch.setattr(analysis, "rref", refuse)
+    monkeypatch.setattr(analysis, "rank", refuse)
+    assert dimension_table(12).totals == {n: poincare_series(12)[n] for n in range(1, 13)}
+
+
+def test_dimension_table_refuses_a_column_that_breaks_the_certificate(monkeypatch):
+    # the column of (2) is empty when d x_2 = 0; it fails as d not onto
+    lowered = xring.lowered
+    monkeypatch.setattr(xring, "lowered", lambda lam: [] if lam == (2,) else lowered(lam))
+    with pytest.raises(RuntimeError, match=r"d is not onto at \(n=2, ell=1\)"):
+        dimension_table(3)
 
 
 def test_single_length_series_matches_cell_dimensions():

@@ -10,9 +10,21 @@ import pytest
 from jring import analysis, checks, invariants, symfun, xring
 
 
-def rank_off_by_one(mp):
-    rank = analysis.rank
-    mp.setattr(analysis, "rank", lambda rows: rank(rows) + (len(rows) == 3))
+def twos_unlowered(mp):
+    # lowering a part 2 makes a part 1; drop those terms
+    lowered = xring.lowered
+    mp.setattr(
+        xring,
+        "lowered",
+        lambda lam: [(mu, k) for mu, k in lowered(lam) if mu.count(1) == lam.count(1)],
+    )
+
+
+def block_size_dropped(mp):
+    # every pivot entry of the certificate comes from a block of size 1, so
+    # the dimension check cannot see this
+    lowered = xring.lowered
+    mp.setattr(xring, "lowered", lambda lam: [(mu, 1) for mu, _ in lowered(lam)])
 
 
 def series_shifted(mp):
@@ -53,6 +65,11 @@ def derivation_doubled(mp):
     mp.setattr(xring, "derivation_d", lambda p: derivation_d(p).scale(2))
 
 
+def kernel_vector_dropped(mp):
+    kernel_basis = analysis.kernel_basis
+    mp.setattr(analysis, "kernel_basis", lambda n, ell: kernel_basis(n, ell)[:-1])
+
+
 def structure_constant_bumped(mp):
     constants = invariants.structure_constants
 
@@ -66,12 +83,14 @@ def structure_constant_bumped(mp):
 
 
 FAULTS = [
-    ("dimension table: counting vs kernel rank", rank_off_by_one),
+    ("dimension table: counting vs kernel rank", twos_unlowered),
     ("Poincare series matches dimension totals", series_shifted),
     ("dimension table matches bivariate Poincare series row by row", bivariate_row_shifted),
     ("expansion times transition matrix is identity", matrix_entry_bumped),
     ("Waring closed form matches matrix entries", waring_bumped),
     ("derivation acts by lowering the first index", derivation_doubled),
+    ("derivation acts by lowering the first index", block_size_dropped),
+    ("kernel of d matches the span of the B(0) basis", kernel_vector_dropped),
     ("structure constants realize polynomial products", structure_constant_bumped),
 ]
 
@@ -80,3 +99,7 @@ FAULTS = [
 def test_each_check_fails_on_its_planted_fault(monkeypatch, name, plant):
     plant(monkeypatch)
     assert dict(checks.run(8))[name] is False
+
+
+def test_every_check_has_a_planted_fault():
+    assert {name for name, _ in checks.run(2)} <= {name for name, _ in FAULTS}
