@@ -101,8 +101,23 @@ def products_realize(max_weight: int) -> bool:
     )
 
 
+def lift_laws(max_weight: int) -> bool:
+    """Both lifts F of g_b to degree N = weight(b) + 3 satisfy the lift law.
+
+    For every B(0) label b up to max_weight: the degree-weight(b) part of F is
+    g_b, and d F = F truncated to degree N - 1.
+    """
+    for beta in b0_labels(max_weight):
+        n = combinatorics.weight(beta)
+        f = invariants.g_poly(beta)
+        for F in (invariants.lift_tilde(beta, n + 3), invariants.lift_exp(f, n + 3)):
+            if xring.project(F, n) != f or xring.derivation_d(F) != xring.truncate(F, n + 2):
+                return False
+    return True
+
+
 def run(max_n: int) -> list[tuple[str, bool]]:
-    """Every check up to weight max_n (products up to max_n // 2), with names."""
+    """Every check up to weight max_n (products and lifts up to max_n // 2)."""
     slices = [(n, ell) for n in range(1, max_n + 1) for ell in range(1, n + 1)]
     results = dimension_checks(max_n)
     for name, check in (
@@ -112,5 +127,7 @@ def run(max_n: int) -> list[tuple[str, bool]]:
         ("kernel of d matches the span of the B(0) basis", kernel_matches_basis),
     ):
         results.append((name, all(check(n, ell) for n, ell in slices)))
-    products = products_realize(max_n // 2)
-    return results + [("structure constants realize polynomial products", products)]
+    return results + [
+        ("structure constants realize polynomial products", products_realize(max_n // 2)),
+        ("lifts project to g_beta and satisfy d F = F", lift_laws(max_n // 2)),
+    ]

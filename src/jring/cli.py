@@ -30,22 +30,31 @@ def render_polynomial_json(p: XPolynomial) -> list[dict]:
     ]
 
 
+def _blocks(lam) -> list[tuple[int, int]]:
+    """(part, multiplicity) for each distinct part of a partition, smallest first."""
+    out = []
+    end = len(lam)
+    while end:
+        v = lam[end - 1]
+        start = end - 1
+        while start and lam[start - 1] == v:
+            start -= 1
+        out.append((v, end - start))
+        end = start
+    return out
+
+
 def _monomial_text(lam) -> str:
     if not lam:
         return "1"
-    pieces = []
-    for v in sorted(set(lam)):
-        e = lam.count(v)
-        pieces.append(f"x{v}" + (f"^{e}" if e > 1 else ""))
-    return "*".join(pieces)
+    return "*".join([f"x{v}^{e}" if e > 1 else f"x{v}" for v, e in _blocks(lam)])
 
 
 def _monomial_latex(lam) -> str:
     if not lam:
         return "1"
     pieces = []
-    for v in sorted(set(lam)):
-        e = lam.count(v)
+    for v, e in _blocks(lam):
         pieces.append(f"x_{{{v}}}" if v >= 10 else f"x_{v}")
         if e > 1:
             pieces[-1] += f"^{{{e}}}" if e >= 10 else f"^{e}"

@@ -15,11 +15,12 @@ from . import symfun
 from .combinatorics import (
     EMPTY,
     Composition,
+    Partition,
     enumerate_compositions,
     is_composition,
     weight,
 )
-from .xring import XPolynomial, derivation_d, derivation_delta, truncate
+from .xring import Coeff, XPolynomial, derivation_d, derivation_delta, truncate
 
 JCombination = dict[Composition, int]
 
@@ -37,15 +38,16 @@ def g_poly(beta: Composition) -> XPolynomial:
     if beta == EMPTY:
         return XPolynomial.one()
     tm = symfun.transition_matrix(weight(beta), len(beta))
-    return XPolynomial(tm.g_column(beta))
+    return XPolynomial._canonical(tm.g_column(beta))
 
 
 def realize(comb: JCombination) -> XPolynomial:
     """The polynomial sum(coeff * g_beta) denoted by a combination."""
-    out = XPolynomial.zero()
+    out: dict[Partition, Coeff] = {}
     for beta, c in comb.items():
-        out = out + g_poly(beta).scale(c)
-    return out
+        for lam, v in g_poly(beta).terms.items():
+            out[lam] = out.get(lam, 0) + c * v
+    return XPolynomial._canonical(out)
 
 
 def is_zero_supported(comb: JCombination) -> bool:
@@ -232,10 +234,11 @@ def lift_tilde(beta: Composition, max_degree: int) -> XPolynomial:
     n = weight(beta)
     if max_degree < n:
         raise ValueError("max_degree below the degree of the polynomial")
-    out = XPolynomial.zero()
+    # the summands have pairwise distinct degrees
+    out: dict[Partition, Coeff] = {}
     for i in range(0, max_degree - n + 1):
-        out = out + g_poly((beta[0] + i,) + beta[1:])
-    return out
+        out.update(g_poly((beta[0] + i,) + beta[1:]).terms)
+    return XPolynomial._canonical(out)
 
 
 def lift_exp(f: XPolynomial, max_degree: int) -> XPolynomial:
@@ -256,15 +259,18 @@ def lift_exp(f: XPolynomial, max_degree: int) -> XPolynomial:
         raise ValueError("lift_exp needs an invariant polynomial (d f = 0)")
     if max_degree < n:
         raise ValueError("max_degree below the degree of the polynomial")
-    out = XPolynomial.zero()
-    lengths = {len(lam) for lam in f.terms}
-    for ell in lengths:
-        component = XPolynomial(
+    # delta keeps the length and raises the degree, so every monomial of F
+    # comes from exactly one (l, i), with coefficient c / (i! l^i)
+    out: dict[Partition, Coeff] = {}
+    for ell in {len(lam) for lam in f.terms}:
+        term = XPolynomial._canonical(
             {lam: c for lam, c in f.terms.items() if len(lam) == ell}
         )
-        term = component
+        denom = 1
         for i in range(0, max_degree - n + 1):
             if i > 0:
                 term = derivation_delta(term)
-            out = out + term.scale(Fraction(1, math.factorial(i) * ell**i))
-    return out
+                denom *= i * ell
+            for lam, c in term.terms.items():
+                out[lam] = Fraction(c, denom)
+    return XPolynomial._canonical(out)

@@ -20,7 +20,12 @@ Coeff = Union[int, Fraction]
 
 
 class XPolynomial:
-    """Sparse polynomial: map from monomial partition to nonzero rational."""
+    """Sparse polynomial: map from monomial partition to nonzero rational.
+
+    The public constructor is where outside input enters: it sorts and merges
+    keys, rejects parts < 1 and coerces coefficients.  Ring operations keep
+    keys canonical themselves and build their results with ``_canonical``.
+    """
 
     __slots__ = ("terms",)
 
@@ -35,14 +40,25 @@ class XPolynomial:
                     if any(p < 1 for p in key):
                         raise ValueError(f"bad monomial index {lam}")
                     clean[key] = clean.get(key, 0) + c
-        # canonical coefficients: int when integral, else Fraction
-        self.terms = {
-            k: v if type(v) is int or v.denominator > 1 else v.numerator
-            for k, v in clean.items()
-            if v != 0
-        }
+        self.terms = XPolynomial._canonical(clean).terms
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, terms: Mapping[Partition, Coeff]) -> "XPolynomial":
+        """The polynomial of terms whose keys are already partitions.
+
+        Every key must be a weakly decreasing tuple of parts >= 1 and every
+        coefficient an int or a Fraction; zeros are dropped and integral
+        Fractions stored as int.
+        """
+        p = object.__new__(cls)
+        p.terms = {
+            k: v if type(v) is int or v.denominator > 1 else v.numerator
+            for k, v in terms.items()
+            if v
+        }
+        return p
 
     @classmethod
     def zero(cls) -> "XPolynomial":
@@ -66,13 +82,13 @@ class XPolynomial:
         out = dict(self.terms)
         for lam, c in other.terms.items():
             out[lam] = out.get(lam, 0) + c
-        return XPolynomial(out)
+        return XPolynomial._canonical(out)
 
     def __sub__(self, other: "XPolynomial") -> "XPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "XPolynomial":
-        return XPolynomial({lam: -c for lam, c in self.terms.items()})
+        return XPolynomial._canonical({lam: -c for lam, c in self.terms.items()})
 
     def __mul__(self, other: "XPolynomial") -> "XPolynomial":
         out: dict[Partition, Coeff] = {}
@@ -80,7 +96,7 @@ class XPolynomial:
             for lam2, c2 in other.terms.items():
                 key = tuple(sorted(lam1 + lam2, reverse=True))
                 out[key] = out.get(key, 0) + c1 * c2
-        return XPolynomial(out)
+        return XPolynomial._canonical(out)
 
     def scale(self, c: Coeff) -> "XPolynomial":
         return XPolynomial({lam: c * v for lam, v in self.terms.items()})
@@ -154,21 +170,28 @@ def derivation_d(p: XPolynomial) -> XPolynomial:
     for lam, c in p.terms.items():
         for mu, k in lowered(lam):
             out[mu] = out.get(mu, 0) + k * c
-    return XPolynomial(out)
+    return XPolynomial._canonical(out)
 
 
 def derivation_delta(p: XPolynomial) -> XPolynomial:
-    """Leibniz extension of delta x_i = i x_{i+1}; raises degree by 1."""
+    """Leibniz extension of delta x_i = i x_{i+1}; raises degree by 1.
+
+    Raising any part of a block of k equal parts v gives the same monomial,
+    so each block gives one term with coefficient k v; raising the block's
+    first part keeps the key weakly decreasing.
+    """
     out: dict[Partition, Coeff] = {}
     for lam, c in p.terms.items():
-        for idx in range(len(lam)):
-            if idx == 0 or lam[idx - 1] != lam[idx]:
-                mult = sum(1 for q in lam if q == lam[idx])
-                key = tuple(
-                    sorted(lam[:idx] + (lam[idx] + 1,) + lam[idx + 1:], reverse=True)
-                )
-                out[key] = out.get(key, 0) + mult * lam[idx] * c
-    return XPolynomial(out)
+        start = 0
+        while start < len(lam):
+            v = lam[start]
+            end = start + 1
+            while end < len(lam) and lam[end] == v:
+                end += 1
+            key = lam[:start] + (v + 1,) + lam[start + 1:]
+            out[key] = out.get(key, 0) + (end - start) * v * c
+            start = end
+    return XPolynomial._canonical(out)
 
 
 def project(p: XPolynomial, n: int, ell: Optional[int] = None) -> XPolynomial:
@@ -178,9 +201,11 @@ def project(p: XPolynomial, n: int, ell: Optional[int] = None) -> XPolynomial:
         for lam, c in p.terms.items()
         if sum(lam) == n and (ell is None or len(lam) == ell)
     }
-    return XPolynomial(out)
+    return XPolynomial._canonical(out)
 
 
 def truncate(p: XPolynomial, n: int) -> XPolynomial:
     """Drop all terms of degree > n."""
-    return XPolynomial({lam: c for lam, c in p.terms.items() if sum(lam) <= n})
+    return XPolynomial._canonical(
+        {lam: c for lam, c in p.terms.items() if sum(lam) <= n}
+    )

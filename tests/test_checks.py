@@ -82,6 +82,21 @@ def structure_constant_bumped(mp):
     mp.setattr(invariants, "structure_constants", bumped)
 
 
+def delta_part_factor_dropped(mp):
+    # delta x_i = x_(i+1) instead of i x_(i+1): a block of k parts v raises
+    # with coefficient k, not k v
+    def delta(p):
+        out = {}
+        for lam, c in p.terms.items():
+            for v in set(lam):
+                i = lam.index(v)
+                key = lam[:i] + (v + 1,) + lam[i + 1:]
+                out[key] = out.get(key, 0) + lam.count(v) * c
+        return xring.XPolynomial(out)
+
+    mp.setattr(invariants, "derivation_delta", delta)
+
+
 FAULTS = [
     ("dimension table: counting vs kernel rank", twos_unlowered),
     ("Poincare series matches dimension totals", series_shifted),
@@ -92,6 +107,7 @@ FAULTS = [
     ("derivation acts by lowering the first index", block_size_dropped),
     ("kernel of d matches the span of the B(0) basis", kernel_vector_dropped),
     ("structure constants realize polynomial products", structure_constant_bumped),
+    ("lifts project to g_beta and satisfy d F = F", delta_part_factor_dropped),
 ]
 
 

@@ -193,7 +193,7 @@ def test_verify_command(capsys):
     code, out = run(capsys, "verify", "--max-n", "4")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 8
+    assert len(lines) == 9
     assert all(line.startswith("PASS") for line in lines)
     name = "dimension table matches bivariate Poincare series row by row"
     assert f"PASS  {name}" in lines

@@ -256,6 +256,17 @@ def test_lift_laws():
             assert derivation_d(F) == truncate(F, N - 1)
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(b0_labels(12)), st.integers(0, 4))
+def test_lift_laws_on_drawn_labels(beta, extra):
+    n = weight(beta)
+    N = n + extra
+    f = g_poly(beta)
+    for F in (lift_tilde(beta, N), lift_exp(f, N)):
+        assert project(F, n) == f
+        assert derivation_d(F) == truncate(F, N - 1)
+
+
 def test_lift_exp_of_x1_squared():
     F = lift_exp(XPolynomial({(1, 1): 1}), 5)
     assert F == XPolynomial(

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jring.checks import b0_labels
 from jring.combinatorics import enumerate_compositions, weight
-from jring.invariants import g_poly, lift_exp
+from jring.invariants import g_poly, lift_exp, lift_tilde, realize
 from jring.xring import (
     XPolynomial,
     derivation_d,
@@ -14,6 +15,8 @@ from jring.xring import (
     project,
     truncate,
 )
+
+import lift_oracle
 
 
 def x(i):
@@ -174,7 +177,12 @@ B0_LABELS = [
 
 
 def assert_canonical(p):
-    for c in p.terms.values():
+    # what XPolynomial._canonical relies on: partition keys, no zeros, and
+    # int or non-integral Fraction coefficients
+    for lam, c in p.terms.items():
+        assert type(lam) is tuple and all(type(v) is int and v >= 1 for v in lam), lam
+        assert list(lam) == sorted(lam, reverse=True), lam
+        assert c != 0, lam
         assert type(c) is int or c.denominator > 1, (c, type(c))
 
 
@@ -188,16 +196,20 @@ def test_integral_fractions_are_stored_as_int():
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(ANY_POLYS, ANY_POLYS, RATIONALS)
-def test_ring_operations_keep_coefficients_canonical(p, q, s):
+@given(ANY_POLYS, ANY_POLYS, RATIONALS, st.integers(0, 12))
+def test_ring_operations_keep_coefficients_canonical(p, q, s, n):
     assert_canonical(p)
     for r in (
         p + q,
         p - q,
+        -p,
         p * q,
         p.scale(s),
         derivation_d(p),
         derivation_delta(q),
+        project(p, n),
+        project(q, n, 2),
+        truncate(p, n),
     ):
         assert_canonical(r)
 
@@ -207,9 +219,37 @@ def test_ring_operations_keep_coefficients_canonical(p, q, s):
     st.sampled_from(B0_LABELS),
     RATIONALS.filter(lambda s: s != 0),
     st.integers(0, 3),
+    st.dictionaries(st.sampled_from(B0_LABELS), INTS, max_size=4),
 )
-def test_lift_exp_keeps_coefficients_canonical(beta, s, extra):
-    assert_canonical(lift_exp(g_poly(beta).scale(s), weight(beta) + extra))
+def test_lift_exp_keeps_coefficients_canonical(beta, s, extra, comb):
+    # and the other results built from the basis without the public constructor
+    n = weight(beta)
+    assert_canonical(lift_exp(g_poly(beta).scale(s), n + extra))
+    assert_canonical(lift_tilde(beta, n + extra))
+    assert_canonical(g_poly(beta))
+    assert_canonical(realize(comb))
+
+
+# ---------------------------------------------------------------------------
+# the block-scan delta and the one-dict exponential lift against the old ones
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(ANY_POLYS)
+def test_derivation_delta_matches_part_by_part_oracle(p):
+    assert derivation_delta(p) == lift_oracle.derivation_delta(p)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.sampled_from(b0_labels(10)),
+    RATIONALS.filter(lambda s: s != 0),
+    st.integers(0, 4),
+)
+def test_lift_exp_matches_summing_oracle(beta, s, extra):
+    f = g_poly(beta).scale(s)
+    N = weight(beta) + extra
+    assert lift_exp(f, N) == lift_oracle.lift_exp(f, N)
 
 
 @settings(max_examples=60, deadline=None, database=None)
