@@ -42,13 +42,14 @@ def dimension_checks(max_n: int) -> list[tuple[str, bool]]:
 def expansion_inverts_matrix(n: int, ell: int) -> bool:
     """E M = I on slice (n, l), summed over the nonzero terms of each e^beta."""
     tm = symfun.transition_matrix(n, ell)
+    position = {lam: i for i, lam in enumerate(tm.partitions)}
     raises: symfun.RaiseTable = {}
-    for beta in tm.compositions:
-        row: dict[Composition, int] = {}
+    for k, beta in enumerate(tm.compositions):
+        row: dict[int, int] = {}
         for lam, c in symfun.expand_elementary_product(beta, ell, raises).items():
-            for beta2, m in tm.rows.get(lam, {}).items():
-                row[beta2] = row.get(beta2, 0) + c * m
-        if {b: x for b, x in row.items() if x} != {beta: 1}:
+            for k2, m in tm.index_rows[position[lam]].items():
+                row[k2] = row.get(k2, 0) + c * m
+        if {k2: x for k2, x in row.items() if x} != {k: 1}:
             return False
     return True
 
@@ -56,8 +57,10 @@ def expansion_inverts_matrix(n: int, ell: int) -> bool:
 def waring_matches_matrix(n: int, ell: int) -> bool:
     """The nonzero closed form equals each entry at (n - l + 1, 1, ..., 1)."""
     tm = symfun.transition_matrix(n, ell)
-    omega = tm.rows[(n - ell + 1,) + (1,) * (ell - 1)]
-    values = ((symfun.waring_coefficient(b), omega.get(b, 0)) for b in tm.compositions)
+    omega = tm.index_rows[tm.partitions.index((n - ell + 1,) + (1,) * (ell - 1))]
+    values = (
+        (symfun.waring_coefficient(b), omega.get(k, 0)) for k, b in enumerate(tm.compositions)
+    )
     return all(0 != closed == entry for closed, entry in values)
 
 

@@ -26,12 +26,20 @@ and m_{1^l} = e_l.  A build therefore reads the rows of the earlier slices
 of its length from the memo, and transition_matrix fills those in
 increasing n first.  expand_elementary_product multiplies out e^beta with
 the same rule; the build does not need it.
+
+A slice is stored once, in index form: row i belongs to the i-th partition
+and maps k to the entry at the k-th composition, whose leading partition is
+the k-th partition.  On leading partitions beta + u_j adds 1 to the first j
+parts, so the relabel from slice (n - j, l) is one list of positions per
+(slice, j), and a build hashes no composition.  The keyed forms rows and
+entries are views, built on first read.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,13 +60,17 @@ def _raise_terms(mu: Partition, j: int) -> list[tuple[Partition, int]]:
     # the terms (nu, coefficient) of m_mu * e_j (mu weakly decreasing, zeros
     # allowed); each partial is (parts of nu so far, coefficient, raises
     # left, unraised copies of the previous value), extended one block of
-    # equal parts at a time
+    # equal parts at a time, left to right
     partial = [((), 1, j, 0)]
-    room = len(mu)
+    size = len(mu)
     prev = None
-    for v in sorted(set(mu), reverse=True):
-        m = mu.count(v)
-        room -= m
+    start = 0
+    while start < size:
+        v = mu[start]
+        end = start + 1
+        while end < size and mu[end] == v:
+            end += 1
+        m, room = end - start, size - end
         step = []
         for parts, coeff, left, kept in partial:
             if prev != v + 1:
@@ -72,6 +84,7 @@ def _raise_terms(mu: Partition, j: int) -> list[tuple[Partition, int]]:
                 ))
         partial = step
         prev = v
+        start = end
     return [(nu, coeff) for nu, coeff, _, _ in partial]
 
 
@@ -118,20 +131,37 @@ def expand_elementary_product(
 
 @dataclass
 class TransitionMatrix:
-    """Integer matrix M with m_lambda = sum_beta M[lambda][beta] e^beta."""
+    """Integer matrix M with m_lambda = sum_beta M[lambda][beta] e^beta.
+
+    index_rows is the stored form, one row per partition in the order of
+    partitions: index_rows[i][k] is M[partitions[i]][compositions[k]], zero
+    entries omitted.  rows and entries key the same entries by partition and
+    composition; they are views, built on first read.
+    """
 
     n: int
     ell: int
     partitions: list[Partition]
     compositions: list[Composition]
-    # rows[lambda] -> {beta: int}, so m_lambda = sum_beta c e^beta
-    rows: dict[Partition, dict[Composition, int]] = field(repr=False)
+    index_rows: list[dict[int, int]] = field(repr=False)
+
+    @functools.cached_property
+    def rows(self) -> dict[Partition, dict[Composition, int]]:
+        """{lambda: {beta: entry}}, so m_lambda = sum_beta entry e^beta."""
+        comps = self.compositions
+        return {
+            lam: {comps[k]: c for k, c in row.items()}
+            for lam, row in zip(self.partitions, self.index_rows)
+        }
 
     @functools.cached_property
     def entries(self) -> dict[tuple[Partition, Composition], int]:
-        """{(lambda, beta): entry}, zero entries omitted; built on first read."""
+        """{(lambda, beta): entry}, zero entries omitted."""
+        comps = self.compositions
         return {
-            (lam, beta): c for lam, row in self.rows.items() for beta, c in row.items()
+            (lam, comps[k]): c
+            for lam, row in zip(self.partitions, self.index_rows)
+            for k, c in row.items()
         }
 
     def entry(self, lam: Partition, beta: Composition) -> int:
@@ -139,7 +169,10 @@ class TransitionMatrix:
 
     def g_column(self, beta: Composition) -> dict[Partition, int]:
         """Coefficients of the invariant polynomial labelled by beta."""
-        return {lam: row[beta] for lam, row in self.rows.items() if beta in row}
+        k = self.compositions.index(beta)
+        return {
+            lam: row[k] for lam, row in zip(self.partitions, self.index_rows) if k in row
+        }
 
 
 _memo: dict[tuple[int, int], TransitionMatrix] = {}
@@ -149,31 +182,42 @@ def _build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
     # reads the rows of the slices (n - j, ell), 1 <= j <= ell, from the memo
     partitions = enumerate_partitions(n, ell)
     compositions = [from_leading_partition(lam) for lam in partitions]
-    rows: dict[Partition, dict[Composition, int]] = {}
+    position = {lam: i for i, lam in enumerate(partitions)}
+    # shifts[j][k] is the position of the k-th partition of slice (n - j, ell)
+    # with its first j parts raised by one: e_j * e^beta = e^(beta + u_j).
+    # Raising keeps lexicographic order, so each list increases
+    shifts: dict[int, list[int]] = {}
+    rows: list[Optional[dict[int, int]]] = [None] * len(partitions)
     # one Pieri step per partition, from the dominance-smallest upwards
-    for lam in reversed(partitions):
+    for i in range(len(partitions) - 1, -1, -1):
+        lam = partitions[i]
         top = lam[0]
         if top == 1:
-            rows[lam] = {(0,) * (ell - 1) + (1,): 1}
+            # m_(1^l) = e_l, whose label (0, ..., 0, 1) leads with (1^l)
+            rows[i] = {i: 1}
             continue
         j = lam.count(top)
         mu = (top - 1,) * j + lam[j:]
-        # e_j * e^beta = e^(beta + u_j)
-        expr = {
-            beta[: j - 1] + (beta[j - 1] + 1,) + beta[j:]: c
-            for beta, c in _memo[(n - j, ell)].rows[mu].items()
-        }
+        below = _memo[(n - j, ell)]
+        shift = shifts.get(j)
+        if shift is None:
+            shift = shifts[j] = [
+                position[tuple([p + 1 for p in kappa[:j]]) + kappa[j:]]
+                for kappa in below.partitions
+            ]
+        # mu is the partition the shift carries to lambda
+        expr = {shift[k]: c for k, c in below.index_rows[bisect_left(shift, i)].items()}
         for nu, c in _raise_terms(mu, j):
             if nu == lam:
                 if c != 1:
                     raise RuntimeError(f"e_{j} * m_{mu} has no unit term at {lam}")
                 continue
-            lower = rows.get(nu)
+            lower = rows[position[nu]]
             if lower is None:
                 raise RuntimeError(f"e_{j} * m_{mu} is not triangular at {nu}")
-            for beta, d in lower.items():
-                expr[beta] = expr.get(beta, 0) - c * d
-        rows[lam] = {beta: c for beta, c in expr.items() if c}
+            for k, d in lower.items():
+                expr[k] = expr.get(k, 0) - c * d
+        rows[i] = {k: c for k, c in expr.items() if c}
     return TransitionMatrix(n, ell, partitions, compositions, rows)
 
 

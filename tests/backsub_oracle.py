@@ -54,4 +54,11 @@ def build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
             for b2, c2 in m_expr[mu].items():
                 expr[b2] = expr.get(b2, 0) - c * c2
         m_expr[lam] = {b: c for b, c in expr.items() if c != 0}
-    return TransitionMatrix(n, ell, partitions, compositions, m_expr)
+    index = {beta: k for k, beta in enumerate(compositions)}
+    return TransitionMatrix(
+        n,
+        ell,
+        partitions,
+        compositions,
+        [{index[b]: c for b, c in m_expr[lam].items()} for lam in partitions],
+    )

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import raise_oracle
 from backsub_oracle import build_transition_matrix
 from dense_oracle import dense_expansion
-from jring import checks, symfun
+from jring import checks, invariants, symfun
 from jring.combinatorics import (
     dominance_leq,
     enumerate_compositions,
+    enumerate_partitions,
     leading_partition,
     weight,
 )
@@ -117,6 +119,7 @@ def test_pieri_build_matches_backsub_oracle():
             want = build_transition_matrix(n, ell)
             assert tm.partitions == want.partitions
             assert tm.compositions == want.compositions
+            assert tm.index_rows == want.index_rows
             assert tm.entries == want.entries
             assert tm.rows == want.rows
 
@@ -133,6 +136,56 @@ def test_cold_build_matches_backsub_oracle_on_drawn_slices(slice_):
         low = max(ell, n - ell + 1)
         assert sorted(symfun._memo) == [(m, ell) for m in range(low, n + 1)]
     assert tm.entries == build_transition_matrix(n, ell).entries
+
+
+def test_slice_is_stored_once(monkeypatch):
+    # a cold build, every column read by g_poly and both matrix checks use
+    # the stored index rows; neither keyed view is built until it is read
+    monkeypatch.setattr(symfun, "_memo", {})
+    tm = transition_matrix(20, 6)
+    for beta in tm.compositions:
+        invariants.g_poly(beta)
+    assert checks.expansion_inverts_matrix(20, 6)
+    assert checks.waring_matches_matrix(20, 6)
+    assert "rows" not in tm.__dict__ and "entries" not in tm.__dict__
+    assert tm.rows == build_transition_matrix(20, 6).rows
+
+
+def _padded_partitions(max_length, max_weight):
+    # every weakly decreasing tuple of length <= max_length, zeros allowed,
+    # of weight <= max_weight
+    for size in range(1, max_length + 1):
+        for w in range(max_weight + 1):
+            for parts in range(1 if w else 0, min(size, w) + 1):
+                for lam in enumerate_partitions(w, parts):
+                    yield lam + (0,) * (size - parts)
+
+
+def _raise_dict(terms):
+    out = {}
+    for nu, c in terms:
+        assert nu not in out
+        out[nu] = c
+    return out
+
+
+def test_raise_terms_match_value_by_value_oracle():
+    for mu in _padded_partitions(8, 14):
+        for j in range(1, len(mu) + 1):
+            assert _raise_dict(symfun._raise_terms(mu, j)) == _raise_dict(
+                raise_oracle.raise_terms(mu, j)
+            )
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=12), st.data())
+def test_raise_terms_match_oracle_on_drawn_partitions(parts, data):
+    # beyond the exhaustive range: longer mu, larger parts and weights
+    mu = tuple(sorted(parts, reverse=True))
+    j = data.draw(st.integers(1, len(mu)))
+    assert _raise_dict(symfun._raise_terms(mu, j)) == _raise_dict(
+        raise_oracle.raise_terms(mu, j)
+    )
 
 
 def test_build_checks_the_pieri_step(monkeypatch):
