@@ -14,7 +14,7 @@ from math import gcd, lcm
 from operator import sub
 from typing import Iterable, Mapping, Optional, Sequence
 
-from . import invariants, xring
+from . import combinatorics, invariants, xring
 from .combinatorics import (
     Composition,
     Partition,
@@ -155,9 +155,17 @@ def _derivation_columns(
     # column j of the matrix of d from the (n, ell) monomials in domain to
     # the (n - 1, ell) ones in codomain, read off xring's lowering rule
     cod_pos = {mu: i for i, mu in enumerate(codomain)}
-    return [
-        {cod_pos[mu]: k for mu, k in xring.lowered(lam)} for lam in domain
-    ]
+    try:
+        return [
+            {cod_pos[mu]: k for mu, k in xring.lowered(lam)} for lam in domain
+        ]
+    except KeyError as exc:
+        (mu,) = exc.args
+        lam = next(lam for lam in domain if mu in dict(xring.lowered(lam)))
+        raise RuntimeError(
+            f"d x_{lam} has the term x_{mu}, outside the slice "
+            f"(n={sum(lam) - 1}, ell={len(lam)}) of its codomain"
+        ) from None
 
 
 def kernel_basis(n: int, ell: int) -> list[XPolynomial]:
@@ -194,26 +202,29 @@ def dimension_table(n_max: int) -> DimensionTable:
     lam = (mu_1 + 1, mu_2, ...) has entry 1 at i, since lam_1 is a block of
     its own, and its other entries lower a later block, so they sit at
     lexicographically larger partitions, which the codomain lists first.
+    The (n, l) monomials come from the previous degree's lists, through
+    combinatorics.partitions_of_next_degree; the counting route enumerates
+    the labels separately.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     dims: dict[int, list[int]] = {}
     totals: dict[int, int] = {}
-    # the partition lists of the previous degree, ell = 1..n, which are the
-    # codomains of d; each list is enumerated once
-    below: list[list[Partition]] = [[]]
+    # the partition lists of the previous degree at index ell, which are the
+    # codomains of d; each degree's lists are built from the previous ones
+    below: list[list[Partition]] = [[()]]
     for n in range(1, n_max + 1):
         row = []
-        current = [enumerate_partitions(n, ell) for ell in range(1, n + 1)]
+        current = combinatorics.partitions_of_next_degree(below)
         for ell in range(1, n + 1):
-            codomain = below[ell - 1]
+            codomain = below[ell] if ell < n else []
             lifts = [(mu[0] + 1,) + mu[1:] for mu in codomain]
             for i, column in enumerate(_derivation_columns(lifts, codomain)):
                 # an empty column fails the first test, so max never sees it
                 if column.get(i) != 1 or max(column) > i:
                     raise RuntimeError(f"d is not onto at (n={n}, ell={ell})")
             by_count = len(enumerate_compositions(n, ell, first=0))
-            by_rank = len(current[ell - 1]) - len(codomain)
+            by_rank = len(current[ell]) - len(codomain)
             if by_count != by_rank:
                 raise RuntimeError(
                     f"dimension mismatch at (n={n}, ell={ell}): "
@@ -222,7 +233,7 @@ def dimension_table(n_max: int) -> DimensionTable:
             row.append(by_count)
         dims[n] = row
         totals[n] = sum(row)
-        below = current + [[]]
+        below = current
     return DimensionTable(dims, totals)
 
 

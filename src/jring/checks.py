@@ -83,9 +83,13 @@ def kernel_matches_basis(n: int, ell: int) -> bool:
 
     The kernel comes from elimination.  Both sides are rows keyed by
     partition, and their reduced echelon forms are canonical, so the spans
-    are equal exactly when the forms are.
+    are equal exactly when the forms are.  A lowering that leaves the slice
+    fails the check.
     """
-    kernel = [p.terms for p in analysis.kernel_basis(n, ell)]
+    try:
+        kernel = [p.terms for p in analysis.kernel_basis(n, ell)]
+    except RuntimeError:
+        return False
     basis = [
         invariants.g_poly(beta).terms
         for beta in combinatorics.enumerate_compositions(n, ell, first=0)

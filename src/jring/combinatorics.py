@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import sub
-from typing import Optional
+from typing import Optional, Sequence
 
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -144,6 +144,31 @@ def enumerate_partitions(n: int, ell: int) -> list[Partition]:
         return [()] if n == ell == 0 else []
     out: list[Partition] = []
     _search(out, n, ell, n, ())
+    return out
+
+
+def partitions_of_next_degree(
+    below: Sequence[Sequence[Partition]],
+) -> list[list[Partition]]:
+    """The lists enumerate_partitions(n, l) for l = 0..n, at index l.
+
+    below holds the lists of degree n - 1 = len(below) - 1 the same way.
+    A partition lam of n with l parts either ends in a part 1, and is kappa
+    + (1) for one kappa of n - 1 with l - 1 parts, or has lam_l >= 2, and is
+    kappa with its last part raised for one kappa of n - 1 with l parts and
+    kappa_l < kappa_(l-1) (any kappa when l = 1).  Both maps keep the
+    lexicographic order, so each list is a merge of two sorted runs.
+    """
+    n = len(below)
+    out: list[list[Partition]] = [[]]
+    for ell in range(1, n + 1):
+        ones = [kappa + (1,) for kappa in below[ell - 1]]
+        raised = [
+            kappa[:-1] + (kappa[-1] + 1,)
+            for kappa in (below[ell] if ell < n else ())
+            if ell == 1 or kappa[-1] < kappa[-2]
+        ]
+        out.append(sorted(ones + raised, reverse=True))
     return out
 
 

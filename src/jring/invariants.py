@@ -72,9 +72,12 @@ def structure_constants(
     0 <= j' <= ell' = len(beta2), with T[0][0] absent: row j >= 1 sums to
     beta_j, column j' >= 1 sums to beta'_j', row 0 and column 0 take what is
     left, and beta''_i = sum_{j+j'=i} T[j][j'].  Each table adds
-    prod_i beta''_i! / prod T[j][j']!.  Only tables with T[ell][ell'] >= 1
-    count, so every beta'' has length ell + ell' and weight
-    weight(beta) + weight(beta2); each coefficient returned is positive.
+    prod_i beta''_i! / prod T[j][j']!, a product of one multinomial per
+    anti-diagonal i, carried as cells are placed: putting t on a diagonal
+    that holds s so far multiplies the weight by C(s + t, t).  Only tables
+    with T[ell][ell'] >= 1 count, so every beta'' has length ell + ell' and
+    weight weight(beta) + weight(beta2); each coefficient returned is
+    positive.
     """
     beta, beta2 = tuple(beta), tuple(beta2)
     if not (is_composition(beta) and is_composition(beta2)):
@@ -84,7 +87,7 @@ def structure_constants(
     if beta2 == EMPTY:
         return {beta: 1}
     ell, ell2 = len(beta), len(beta2)
-    fact = math.factorial
+    comb = math.comb
     # only rows and columns with a nonzero total hold nonzero entries
     rows = [j for j, b in enumerate(beta, start=1) if b]
     cols = [j2 for j2, b in enumerate(beta2, start=1) if b]
@@ -92,32 +95,33 @@ def structure_constants(
     diag = [0] * (ell + ell2 + 1)  # beta''_i so far at i
     out: dict[Composition, int] = {}
 
-    def place(r: int, c: int, row_left: int, denom: int) -> None:
-        # choose T[j][j2] for j = rows[r], j2 = cols[c], then the next cell
+    def place(r: int, c: int, row_left: int, w: int) -> None:
+        # choose T[j][j2] for j = rows[r], j2 = cols[c], then the next cell;
+        # w is the weight of the cells placed so far
         j = rows[r]
         if c == len(cols):
-            diag[j] += row_left  # T[j][0]
-            denom *= fact(row_left)
+            w *= comb(diag[j] + row_left, row_left)  # T[j][0]
+            diag[j] += row_left
             if r + 1 < len(rows):
-                place(r + 1, 0, beta[rows[r + 1] - 1], denom)
+                place(r + 1, 0, beta[rows[r + 1] - 1], w)
             else:
                 top = diag[:]
                 for j2, t in enumerate(col_left, start=1):  # T[0][j2]
+                    w *= comb(top[j2] + t, t)
                     top[j2] += t
-                    denom *= fact(t)
                 key = tuple(top[1:])
-                n = math.prod(fact(b) for b in key) // denom
-                out[key] = out.get(key, 0) + n
+                out[key] = out.get(key, 0) + w
             diag[j] -= row_left
             return
         j2 = cols[c]
+        s = diag[j + j2]
         lo = 1 if (j, j2) == (ell, ell2) else 0
         for t in range(lo, min(row_left, col_left[j2 - 1]) + 1):
             col_left[j2 - 1] -= t
-            diag[j + j2] += t
-            place(r, c + 1, row_left - t, denom * fact(t))
+            diag[j + j2] = s + t
+            place(r, c + 1, row_left - t, w * comb(s + t, t))
             col_left[j2 - 1] += t
-            diag[j + j2] -= t
+        diag[j + j2] = s
 
     place(0, 0, beta[rows[0] - 1], 1)
     return out

@@ -7,7 +7,7 @@ can fail.
 
 import pytest
 
-from jring import analysis, checks, invariants, symfun, xring
+from jring import analysis, checks, combinatorics, invariants, symfun, xring
 
 
 def twos_unlowered(mp):
@@ -25,6 +25,31 @@ def block_size_dropped(mp):
     # the dimension check cannot see this
     lowered = xring.lowered
     mp.setattr(xring, "lowered", lambda lam: [(mu, 1) for mu, _ in lowered(lam)])
+
+
+def lowering_leaves_the_slice(mp):
+    # d x_(2, 1) becomes x_(1), a part short, which no codomain of d lists
+    lowered = xring.lowered
+    mp.setattr(
+        xring,
+        "lowered",
+        lambda lam: [(mu[:-1] if len(mu) > 1 else mu, k) for mu, k in lowered(lam)],
+    )
+
+
+def last_part_guard_dropped(mp):
+    # kappa_l < kappa_(l-1) dropped: raising the last of equal parts, as in
+    # (1, 1) -> (1, 2), adds tuples that are not partitions
+    def unguarded(below):
+        n = len(below)
+        out = [[]]
+        for ell in range(1, n + 1):
+            ones = [kappa + (1,) for kappa in below[ell - 1]]
+            raised = [kappa[:-1] + (kappa[-1] + 1,) for kappa in (below[ell] if ell < n else ())]
+            out.append(sorted(ones + raised, reverse=True))
+        return out
+
+    mp.setattr(combinatorics, "partitions_of_next_degree", unguarded)
 
 
 def series_shifted(mp):
@@ -101,6 +126,7 @@ def delta_part_factor_dropped(mp):
 
 FAULTS = [
     ("dimension table: counting vs kernel rank", twos_unlowered),
+    ("dimension table: counting vs kernel rank", last_part_guard_dropped),
     ("Poincare series matches dimension totals", series_shifted),
     ("dimension table matches bivariate Poincare series row by row", bivariate_row_shifted),
     ("expansion times transition matrix is identity", matrix_entry_bumped),
@@ -108,6 +134,7 @@ FAULTS = [
     ("derivation acts by lowering the first index", derivation_doubled),
     ("derivation acts by lowering the first index", block_size_dropped),
     ("kernel of d matches the span of the B(0) basis", kernel_vector_dropped),
+    ("kernel of d matches the span of the B(0) basis", lowering_leaves_the_slice),
     ("structure constants realize polynomial products", structure_constant_bumped),
     ("lifts project to g_beta and satisfy d F = F", delta_part_factor_dropped),
 ]

@@ -16,6 +16,8 @@ from jring.cli import (
 from jring import analysis, invariants
 from jring.invariants import g_poly
 
+from test_checks import lowering_leaves_the_slice
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -238,6 +240,22 @@ def test_internal_error_exits_1_without_traceback(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "jring: internal error: consistency check failed\n"
+
+
+def test_a_lowering_outside_the_slice_fails_verify_and_stops_dims(capsys, monkeypatch):
+    lowering_leaves_the_slice(monkeypatch)
+    assert main(["verify", "--max-n", "6"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL  kernel of d matches the span of the B(0) basis" in captured.out
+    assert "FAIL  dimension table: counting vs kernel rank" in captured.out
+    assert captured.err.endswith(" check(s) failed\n") and captured.err.count("\n") == 1
+    assert main(["dims", "--max-n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "jring: internal error: d x_(2, 1) has the term x_(1,), outside the "
+        "slice (n=2, ell=2) of its codomain\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from jring.combinatorics import (
     from_partition,
     is_composition,
     leading_partition,
+    partitions_of_next_degree,
     to_partition,
     weight,
 )
@@ -88,6 +89,16 @@ def test_enumerate_partitions_counts_and_degenerate_sizes():
     assert enumerate_partitions(0, 0) == [()]
     for n, k in [(0, 1), (3, 0), (2, 3), (3, -1), (0, -2)]:
         assert enumerate_partitions(n, k) == []
+
+
+def test_partitions_of_next_degree_match_the_search():
+    # every list, in order, built degree by degree from P(0, 0) = [()]
+    lists = [[()]]
+    for n in range(1, 33):
+        lists = partitions_of_next_degree(lists)
+        assert len(lists) == n + 1 and lists[0] == []
+        for ell in range(1, n + 1):
+            assert lists[ell] == enumerate_partitions(n, ell)
 
 
 @pytest.mark.parametrize(

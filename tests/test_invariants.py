@@ -24,6 +24,7 @@ from jring.xring import XPolynomial, derivation_d, project, truncate
 
 from appendix_data import ALL_BASIS_TABLES
 from pair_table_oracle import pair_table_constants
+from split_table_oracle import split_table_constants
 
 
 def b0_labels_of_weight(n):
@@ -135,6 +136,21 @@ def test_structure_constants_match_pair_table_oracle():
 @given(b0_pairs(max_total=20))
 def test_structure_constants_match_pair_table_oracle_on_drawn_pairs(pair):
     assert structure_constants(*pair) == pair_table_constants(*pair)
+
+
+def test_structure_constants_match_split_table_oracle():
+    labels = b0_labels(13)
+    for b1 in labels:
+        for b2 in labels:
+            if weight(b1) + weight(b2) <= 14:
+                assert structure_constants(b1, b2) == split_table_constants(b1, b2)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(b0_pairs(max_total=28))
+def test_structure_constants_match_split_table_oracle_on_drawn_pairs(pair):
+    # past the weights the pair-table oracle can reach
+    assert structure_constants(*pair) == split_table_constants(*pair)
 
 
 @settings(max_examples=25, deadline=None, database=None)
