@@ -1,4 +1,12 @@
-"""Command-line front end: argument parsing and text / JSON / LaTeX output."""
+"""Command-line front end: argument parsing and text / JSON / LaTeX output.
+
+A command that lists items (basis, chern --ell, dims, generators, relations)
+prints them through _print_items and gives only the items, an item's JSON
+record and its line: JSON output is one array of records, text and LaTeX
+output one line per item.  basis_label writes a basis label, g(0,2) in text
+and g_{(0,2)} in LaTeX, and _render_terms writes every signed sum of terms:
+polynomials, J-combinations and the LaTeX Poincare series.
+"""
 
 from __future__ import annotations
 
@@ -97,28 +105,37 @@ def render_polynomial(p: XPolynomial, fmt: str) -> str:
     return render_polynomial_text(p)
 
 
-def sorted_combination(comb: invariants.JCombination):
-    return sorted(comb.items(), key=lambda kv: composition_sort_key(kv[0]))
-
-
-def _g_latex(beta: Composition) -> str:
-    label = ",".join(str(x) for x in beta) if beta else r"\emptyset"
-    return f"g_{{({label})}}"
+def basis_label(beta: Composition, fmt: str) -> str:
+    r"""g_beta as g(0,2) and g(empty), or in LaTeX as g_{(0,2)} and g_{(\emptyset)}."""
+    if fmt == "latex":
+        return "g_{(" + (",".join(map(str, beta)) or r"\emptyset") + ")}"
+    return "g(" + (",".join(map(str, beta)) or "empty") + ")"
 
 
 def render_combination(comb: invariants.JCombination, fmt: str) -> str:
-    items = sorted_combination(comb)
+    items = sorted(comb.items(), key=lambda kv: composition_sort_key(kv[0]))
     if fmt == "json":
         return json.dumps(
             [{"beta": list(b), "coeff": str(c)} for b, c in items]
         )
     if fmt == "latex":
-        return _render_terms(items, _g_latex, joiner="")
-    return " + ".join(f"{c}*g{beta_label(b)}" for b, c in items) or "0"
+        return _render_terms(items, lambda b: basis_label(b, fmt), joiner="")
+    return " + ".join(f"{c}*{basis_label(b, fmt)}" for b, c in items) or "0"
 
 
-def beta_label(beta: Composition) -> str:
-    return "(" + ",".join(str(x) for x in beta) + ")" if beta else "(empty)"
+def _print_items(fmt: str, items, record, text, latex=None) -> int:
+    """JSON is one array of records; text and LaTeX are one line per item.
+
+    record, text and latex map an item to its JSON record and to its line;
+    without latex, the LaTeX lines are the text lines.
+    """
+    if fmt == "json":
+        print(json.dumps([record(x) for x in items]))
+        return 0
+    line = latex if fmt == "latex" and latex else text
+    for x in items:
+        print(line(x))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +245,13 @@ def cmd_basis(args) -> int:
     betas = enumerate_compositions(
         args.n, args.ell, first=0 if args.zero_only else None
     )
-    if args.format == "json":
-        payload = [
-            {
-                "beta": list(b),
-                "polynomial": render_polynomial_json(invariants.g_poly(b)),
-            }
-            for b in betas
-        ]
-        print(json.dumps(payload))
-        return 0
-    for b in betas:
-        poly = invariants.g_poly(b)
-        if args.format == "latex":
-            print(f"{_g_latex(b)} &= {render_polynomial_latex(poly)} \\\\")
-        else:
-            print(f"g{beta_label(b)} = {render_polynomial_text(poly)}")
-    return 0
+    return _print_items(
+        args.format,
+        ((b, invariants.g_poly(b)) for b in betas),
+        lambda bp: {"beta": list(bp[0]), "polynomial": render_polynomial_json(bp[1])},
+        lambda bp: f"{basis_label(bp[0], 'text')} = {render_polynomial_text(bp[1])}",
+        lambda bp: f"{basis_label(bp[0], 'latex')} &= {render_polynomial_latex(bp[1])} \\\\",
+    )
 
 
 def cmd_poly(args) -> int:
@@ -274,59 +281,45 @@ def cmd_chern(args) -> int:
         poly = invariants.ch_numeric(args.k, args.max_degree)
         print(render_polynomial(poly, args.format))
         return 0
-    items = invariants.chern_coefficients(args.ell, args.max_degree).items()
-    if args.format == "json":
-        payload = [
-            {"exponents": list(k), "polynomial": render_polynomial_json(v)}
-            for k, v in items
-        ]
-        print(json.dumps(payload))
-        return 0
-    for exps, poly in items:
-        if args.format == "latex":
-            label = "".join(
-                f"e_{j}" + (f"^{e}" if e > 1 else "")
-                for j, e in enumerate(exps, start=2)
-                if e > 0
-            )
-            print(f"{label} &: {render_polynomial_latex(poly)} \\\\")
-        else:
-            label = "*".join(
-                f"e{j}" + (f"^{e}" if e > 1 else "")
-                for j, e in enumerate(exps, start=2)
-                if e > 0
-            )
-            print(f"{label}: {render_polynomial_text(poly)}")
-    return 0
+
+    def label(exps, e, times):
+        # e2^2*e3 in text, e_2^2e_3 in LaTeX
+        return times.join(
+            f"{e}{j}" + (f"^{k}" if k > 1 else "") for j, k in enumerate(exps, start=2) if k > 0
+        )
+
+    return _print_items(
+        args.format,
+        invariants.chern_coefficients(args.ell, args.max_degree).items(),
+        lambda ep: {"exponents": list(ep[0]), "polynomial": render_polynomial_json(ep[1])},
+        lambda ep: f"{label(ep[0], 'e', '*')}: {render_polynomial_text(ep[1])}",
+        lambda ep: f"{label(ep[0], 'e_', '')} &: {render_polynomial_latex(ep[1])} \\\\",
+    )
 
 
 def cmd_dims(args) -> int:
     if args.max_n < 1:
         raise ValueError("dims needs --max-n >= 1")
     table = analysis.dimension_table(args.max_n)
-    if args.format == "json":
-        payload = [
-            {"n": n, "dims": table.dims[n], "total": table.totals[n]}
-            for n in range(1, args.max_n + 1)
-        ]
-        print(json.dumps(payload))
-        return 0
-    if args.format == "latex":
-        for n in range(1, args.max_n + 1):
-            cells = " & ".join(str(d) for d in table.dims[n])
-            print(f"\\dim J_{{{n}}} & {cells} & {table.totals[n]} \\\\")
-        return 0
+    degrees = range(1, args.max_n + 1)
     width = 4
-    header = "  n |" + "".join(
-        f"{ell:>{width}}" for ell in range(1, args.max_n + 1)
-    ) + " | total"
-    print(header)
-    print("-" * len(header))
-    for n in range(1, args.max_n + 1):
+
+    def text(n):
         row = table.dims[n] + [0] * (args.max_n - n)
         cells = "".join(f"{d:>{width}}" for d in row)
-        print(f"{n:>3} |{cells} | {table.totals[n]:>5}")
-    return 0
+        return f"{n:>3} |{cells} | {table.totals[n]:>5}"
+
+    if args.format == "text":
+        header = "  n |" + "".join(f"{ell:>{width}}" for ell in degrees) + " | total"
+        print(header)
+        print("-" * len(header))
+    return _print_items(
+        args.format,
+        degrees,
+        lambda n: {"n": n, "dims": table.dims[n], "total": table.totals[n]},
+        text,
+        lambda n: f"\\dim J_{{{n}}} & {' & '.join(map(str, table.dims[n]))} & {table.totals[n]} \\\\",
+    )
 
 
 def cmd_series(args) -> int:
@@ -337,38 +330,25 @@ def cmd_series(args) -> int:
     coeffs = analysis.poincare_series(args.order, args.ell)
     if args.format == "json":
         print(json.dumps({"order": args.order, "coeffs": coeffs}))
-        return 0
-    if args.format == "latex":
-        bits = []
-        for n, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            coeff = "" if c == 1 and n > 0 else str(c)
-            if n == 0:
-                bits.append(str(c))
-            elif n == 1:
-                bits.append(f"{coeff}t")
-            else:
-                bits.append(f"{coeff}t^{{{n}}}")
-        print(" + ".join(bits) + " + \\cdots")
-        return 0
-    print(" ".join(str(c) for c in coeffs))
+    elif args.format == "latex":
+        terms = [(n, c) for n, c in enumerate(coeffs) if c]
+        power = lambda n: "1" if n == 0 else "t" if n == 1 else f"t^{{{n}}}"
+        print(_render_terms(terms, power, joiner="") + " + \\cdots")
+    else:
+        print(" ".join(str(c) for c in coeffs))
     return 0
 
 
 def cmd_generators(args) -> int:
     if args.max_n < 1:
         raise ValueError("generators needs --max-n >= 1")
-    gens = analysis.generator_candidates(args.max_n)
-    if args.format == "json":
-        print(json.dumps([list(g) for g in gens]))
-        return 0
-    for g in gens:
-        if args.format == "latex":
-            print(_g_latex(g))
-        else:
-            print(f"g{beta_label(g)}  (degree {weight(g)})")
-    return 0
+    return _print_items(
+        args.format,
+        analysis.generator_candidates(args.max_n),
+        list,
+        lambda g: f"{basis_label(g, 'text')}  (degree {weight(g)})",
+        lambda g: basis_label(g, "latex"),
+    )
 
 
 def cmd_relations(args) -> int:
@@ -376,26 +356,17 @@ def cmd_relations(args) -> int:
         raise ValueError("relations needs --degree >= 1")
     gens = analysis.generator_candidates(args.degree)
     relations = analysis.find_relations(args.degree, gens)
-    if args.format == "json":
-        payload = [
-            [
-                {"monomial": [list(b) for b in mono], "coeff": str(c)}
-                for mono, c in sorted(rel.items())
-            ]
-            for rel in relations
-        ]
-        print(json.dumps(payload))
-        return 0
-    if not relations:
+    if not relations and args.format != "json":
         print(f"no relations in degree {args.degree}")
         return 0
-    for rel in relations:
-        bits = []
-        for mono, c in sorted(rel.items()):
-            factors = "".join(f"g{beta_label(b)}" for b in mono)
-            bits.append(f"{c}*{factors}")
-        print(" + ".join(bits) + " = 0")
-    return 0
+    return _print_items(
+        args.format,
+        (sorted(rel.items()) for rel in relations),
+        lambda rel: [{"monomial": [list(b) for b in mono], "coeff": str(c)} for mono, c in rel],
+        lambda rel: " + ".join(
+            f"{c}*" + "".join(basis_label(b, "text") for b in mono) for mono, c in rel
+        ) + " = 0",
+    )
 
 
 def cmd_verify(args) -> int:

@@ -31,8 +31,8 @@ A slice is stored once, in index form: row i belongs to the i-th partition
 and maps k to the entry at the k-th composition, whose leading partition is
 the k-th partition.  On leading partitions beta + u_j adds 1 to the first j
 parts, so the relabel from slice (n - j, l) is one list of positions per
-(slice, j), and a build hashes no composition.  The keyed forms rows and
-entries are views, built on first read.
+(slice, j), and a build hashes no composition.  The keyed form entries is
+a view, built on first read.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ class TransitionMatrix:
 
     index_rows is the stored form, one row per partition in the order of
     partitions: index_rows[i][k] is M[partitions[i]][compositions[k]], zero
-    entries omitted.  rows and entries key the same entries by partition and
-    composition; they are views, built on first read.
+    entries omitted.  entries keys the same entries by (partition,
+    composition); it is a view, built on first read.
     """
 
     n: int
@@ -144,15 +144,6 @@ class TransitionMatrix:
     partitions: list[Partition]
     compositions: list[Composition]
     index_rows: list[dict[int, int]] = field(repr=False)
-
-    @functools.cached_property
-    def rows(self) -> dict[Partition, dict[Composition, int]]:
-        """{lambda: {beta: entry}}, so m_lambda = sum_beta entry e^beta."""
-        comps = self.compositions
-        return {
-            lam: {comps[k]: c for k, c in row.items()}
-            for lam, row in zip(self.partitions, self.index_rows)
-        }
 
     @functools.cached_property
     def entries(self) -> dict[tuple[Partition, Composition], int]:

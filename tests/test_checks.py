@@ -141,9 +141,13 @@ FAULTS = [
 
 
 @pytest.mark.parametrize("name, plant", FAULTS, ids=[p.__name__ for _, p in FAULTS])
-def test_each_check_fails_on_its_planted_fault(monkeypatch, name, plant):
-    plant(monkeypatch)
-    assert dict(checks.run(8))[name] is False
+def test_each_check_fails_on_its_planted_fault(name, plant):
+    with pytest.MonkeyPatch.context() as mp:
+        plant(mp)
+        results = checks.run(8)
+    assert dict(results)[name] is False
+    # a fault hides no check: the names are those of a run without it
+    assert [check for check, _ in results] == [check for check, _ in checks.run(8)]
 
 
 def test_every_check_has_a_planted_fault():

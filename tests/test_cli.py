@@ -135,6 +135,15 @@ def test_series_command(capsys):
     )
     assert code == 0
     assert out.split() == ["0", "0", "1", "0", "1", "0", "1"]
+    code, out = run(
+        capsys, "series", "--which", "Jl", "--ell", "2", "--order", "6", "--format", "latex"
+    )
+    assert (code, out) == (0, "t^{2} + t^{4} + t^{6} + \\cdots\n")
+    # no nonzero coefficient up to the order: the prefix is 0, not empty
+    code, out = run(
+        capsys, "series", "--which", "Jl", "--ell", "7", "--order", "5", "--format", "latex"
+    )
+    assert (code, out) == (0, "0 + \\cdots\n")
 
 
 def test_series_jl_without_ell_is_usage_error(capsys):
@@ -248,6 +257,12 @@ def test_a_lowering_outside_the_slice_fails_verify_and_stops_dims(capsys, monkey
     captured = capsys.readouterr()
     assert "FAIL  kernel of d matches the span of the B(0) basis" in captured.out
     assert "FAIL  dimension table: counting vs kernel rank" in captured.out
+    # without a table neither series can be matched, and both say so
+    assert "FAIL  Poincare series matches dimension totals" in captured.out
+    assert (
+        "FAIL  dimension table matches bivariate Poincare series row by row" in captured.out
+    )
+    assert len(captured.out.splitlines()) == 9
     assert captured.err.endswith(" check(s) failed\n") and captured.err.count("\n") == 1
     assert main(["dims", "--max-n", "4"]) == 1
     captured = capsys.readouterr()

@@ -121,7 +121,6 @@ def test_pieri_build_matches_backsub_oracle():
             assert tm.compositions == want.compositions
             assert tm.index_rows == want.index_rows
             assert tm.entries == want.entries
-            assert tm.rows == want.rows
 
 
 @settings(max_examples=20, deadline=None, database=None)
@@ -140,15 +139,18 @@ def test_cold_build_matches_backsub_oracle_on_drawn_slices(slice_):
 
 def test_slice_is_stored_once(monkeypatch):
     # a cold build, every column read by g_poly and both matrix checks use
-    # the stored index rows; neither keyed view is built until it is read
+    # the stored index rows; the keyed view is not built until it is read
     monkeypatch.setattr(symfun, "_memo", {})
     tm = transition_matrix(20, 6)
     for beta in tm.compositions:
         invariants.g_poly(beta)
     assert checks.expansion_inverts_matrix(20, 6)
     assert checks.waring_matches_matrix(20, 6)
-    assert "rows" not in tm.__dict__ and "entries" not in tm.__dict__
-    assert tm.rows == build_transition_matrix(20, 6).rows
+    assert "entries" not in tm.__dict__
+    want = build_transition_matrix(20, 6)
+    assert (tm.partitions, tm.compositions, tm.index_rows) == (
+        want.partitions, want.compositions, want.index_rows
+    )
 
 
 def _padded_partitions(max_length, max_weight):
@@ -223,7 +225,7 @@ def test_cold_chain_needs_no_recursion(monkeypatch):
         two = transition_matrix(150, 2)
     finally:
         sys.setrecursionlimit(limit)
-    assert one.rows == {(300,): {(300,): 1}}
+    assert (one.partitions, one.compositions, one.index_rows) == ([(300,)], [(300,)], [{0: 1}])
     assert two.entries == build_transition_matrix(150, 2).entries
     # a slice asked for stays; a chain keeps only the slices the next build
     # of its length reads
