@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import sub
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import combinatorics, invariants, xring
 from .combinatorics import (
@@ -94,17 +94,6 @@ def rref(rows: Sequence[Mapping]) -> tuple[list[dict], list]:
     return [by_pivot[pc] for pc in pivots], pivots
 
 
-def _rows_of(columns: Iterable[Mapping]) -> list[SparseRow]:
-    # the sparse rows of the matrix with these sparse columns; a row's key
-    # in a column only has to match across columns, and rows that would be
-    # zero are left out (neither changes the row space)
-    rows: dict = {}
-    for j, column in enumerate(columns):
-        for i, x in column.items():
-            rows.setdefault(i, {})[j] = x
-    return list(rows.values())
-
-
 def rank(rows: Sequence[Mapping]) -> int:
     """Rank over Q of sparse integer rows."""
     return len(rref(rows)[1])
@@ -145,6 +134,17 @@ def in_span(vector: Mapping, basis: Sequence[Mapping]) -> bool:
     return rank(list(basis) + [vector]) == rank(basis)
 
 
+def _kernel(columns: Sequence[Mapping]) -> list[SparseRow]:
+    # the kernel of the matrix with these sparse columns, in canonical form:
+    # the rref of its integer nullspace basis.  Rows are keyed as in the
+    # columns, and zero rows are left out; neither changes the row space
+    rows: dict = {}
+    for j, column in enumerate(columns):
+        for i, x in column.items():
+            rows.setdefault(i, {})[j] = x
+    return rref(nullspace(list(rows.values()), len(columns)))[0]
+
+
 # ---------------------------------------------------------------------------
 # Kernel of the derivation
 
@@ -173,14 +173,10 @@ def kernel_basis(n: int, ell: int) -> list[XPolynomial]:
     if n < 1 or ell < 1:
         raise ValueError("need n >= 1 and ell >= 1")
     domain = enumerate_partitions(n, ell)
-    rows = _rows_of(
-        _derivation_columns(domain, enumerate_partitions(n - 1, ell))
-    )
-    # canonical form: echelonize the kernel basis itself
-    vectors, _ = rref(nullspace(rows, len(domain)))
+    columns = _derivation_columns(domain, enumerate_partitions(n - 1, ell))
     return [
         XPolynomial({domain[j]: c for j, c in sorted(v.items())})
-        for v in vectors
+        for v in _kernel(columns)
     ]
 
 
@@ -356,19 +352,11 @@ def _monomials_of_weight(
     return out
 
 
-def evaluate_monomial(monomial: Monomial) -> invariants.JCombination:
-    """Fold the abstract product over the factors of a generator monomial."""
-    comb: invariants.JCombination = {(): 1}
-    for beta in monomial:
-        comb = invariants.j_product(comb, {beta: 1})
-    return comb
-
-
 def _monomial_products(
     monomials: Sequence[Monomial],
 ) -> list[invariants.JCombination]:
-    # evaluate_monomial of each monomial, folding the same products in the
-    # same order, but with one j_product per distinct prefix: a monomial's
+    # the abstract product of each generator monomial, folded over its
+    # factors in order, with one j_product per distinct prefix: a monomial's
     # product is that of its prefix without the last factor, times that factor
     products: dict[Monomial, invariants.JCombination] = {(): {(): 1}}
 
@@ -382,6 +370,11 @@ def _monomial_products(
     return [product(mono) for mono in monomials]
 
 
+def evaluate_monomial(monomial: Monomial) -> invariants.JCombination:
+    """Fold the abstract product over the factors of a generator monomial."""
+    return _monomial_products([monomial])[0]
+
+
 def find_relations(
     degree: int, generators: Sequence[Composition]
 ) -> list[Relation]:
@@ -393,14 +386,9 @@ def find_relations(
     """
     monomials = _monomials_of_weight(generators, degree)
     # one column per monomial: its product over the B(0) labels
-    rows = _rows_of(_monomial_products(monomials))
-    kernel, _ = rref(nullspace(rows, len(monomials)))
+    kernel = _kernel(_monomial_products(monomials))
     return [{monomials[j]: c for j, c in sorted(v.items())} for v in kernel]
 
 
-def relation_in_span(relation: Relation, relations: Sequence[Relation]) -> bool:
-    """Membership of a relation in the span of a computed relation basis.
-
-    The relations are rows keyed by monomial.
-    """
-    return in_span(relation, relations)
+# membership of a relation, keyed by monomial, in the span of a relation basis
+relation_in_span = in_span

@@ -1,11 +1,13 @@
 """Command-line front end: argument parsing and text / JSON / LaTeX output.
 
-A command that lists items (basis, chern --ell, dims, generators, relations)
-prints them through _print_items and gives only the items, an item's JSON
-record and its line: JSON output is one array of records, text and LaTeX
-output one line per item.  basis_label writes a basis label, g(0,2) in text
-and g_{(0,2)} in LaTeX, and _render_terms writes every signed sum of terms:
-polynomials, J-combinations and the LaTeX Poincare series.
+Each subcommand's parser carries its handler as args.run, so build_parser is
+the one list of subcommands.  A command that lists items (basis, chern
+--ell, dims, generators, relations, verify) prints them through _print_items
+and gives only the items, an item's JSON record and its line: JSON output is
+one array of records, text and LaTeX output one line per item.  basis_label
+writes a basis label, g(0,2) in text and g_{(0,2)} in LaTeX, and
+_render_terms writes every signed sum of terms: polynomials, J-combinations
+and the LaTeX Poincare series.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import groupby
 from typing import Optional, Sequence
 
 from . import analysis, checks, invariants
@@ -38,33 +41,20 @@ def render_polynomial_json(p: XPolynomial) -> list[dict]:
     ]
 
 
-def _blocks(lam) -> list[tuple[int, int]]:
-    """(part, multiplicity) for each distinct part of a partition, smallest first."""
-    out = []
-    end = len(lam)
-    while end:
-        v = lam[end - 1]
-        start = end - 1
-        while start and lam[start - 1] == v:
-            start -= 1
-        out.append((v, end - start))
-        end = start
-    return out
-
-
 def _monomial_text(lam) -> str:
     if not lam:
         return "1"
-    return "*".join([f"x{v}^{e}" if e > 1 else f"x{v}" for v, e in _blocks(lam)])
+    runs = groupby(reversed(lam))  # runs of equal parts, smallest part first
+    return "*".join([f"x{v}^{e}" if (e := len(list(run))) > 1 else f"x{v}" for v, run in runs])
 
 
 def _monomial_latex(lam) -> str:
     if not lam:
         return "1"
     pieces = []
-    for v, e in _blocks(lam):
+    for v, run in groupby(reversed(lam)):
         pieces.append(f"x_{{{v}}}" if v >= 10 else f"x_{v}")
-        if e > 1:
+        if (e := len(list(run))) > 1:
             pieces[-1] += f"^{{{e}}}" if e >= 10 else f"^{e}"
     return "".join(pieces)
 
@@ -196,41 +186,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--zero-only", action="store_true")
+    p.set_defaults(run=cmd_basis)
 
     p = sub.add_parser("poly", parents=[common], help="print one basis polynomial")
     p.add_argument("beta", type=parse_beta)
+    p.set_defaults(run=cmd_poly)
 
     p = sub.add_parser("product", parents=[common], help="product of two basis elements")
     p.add_argument("beta", type=parse_beta)
     p.add_argument("beta2", type=parse_beta)
+    p.set_defaults(run=cmd_product)
 
     p = sub.add_parser("lift", parents=[common], help="lift a basis polynomial")
     p.add_argument("beta", type=parse_beta)
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--method", choices=("tilde", "exp"), default="tilde")
+    p.set_defaults(run=cmd_lift)
 
     p = sub.add_parser("chern", parents=[common], help="Chern character expansions")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ell", type=int)
     group.add_argument("--k", type=parse_kvec)
     p.add_argument("--max-degree", type=int, required=True)
+    p.set_defaults(run=cmd_chern)
 
     p = sub.add_parser("dims", parents=[common], help="dimension table")
     p.add_argument("--max-n", type=int, required=True)
+    p.set_defaults(run=cmd_dims)
 
     p = sub.add_parser("series", parents=[common], help="Poincare series coefficients")
     p.add_argument("--which", choices=("J", "Jl"), required=True)
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--order", type=int, required=True)
+    p.set_defaults(run=cmd_series)
 
     p = sub.add_parser("generators", parents=[common], help="algebra generator candidates")
     p.add_argument("--max-n", type=int, required=True)
+    p.set_defaults(run=cmd_generators)
 
     p = sub.add_parser("relations", parents=[common], help="relations among generators")
     p.add_argument("--degree", type=int, required=True)
+    p.set_defaults(run=cmd_relations)
 
     p = sub.add_parser("verify", parents=[common], help="run the invariant verification suite")
     p.add_argument("--max-n", type=int, default=10)
+    p.set_defaults(run=cmd_verify)
 
     return parser
 
@@ -372,36 +372,25 @@ def cmd_relations(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_n < 1:
         raise ValueError("verify needs --max-n >= 1")
-    failures = 0
-    for name, ok in checks.run(args.max_n):
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures += 1
+    results = checks.run(args.max_n)
+    _print_items(
+        args.format,
+        results,
+        lambda r: {"check": r[0], "ok": r[1]},
+        lambda r: f"{'PASS' if r[1] else 'FAIL'}  {r[0]}",
+    )
+    failures = sum(not ok for _, ok in results)
     if failures:
         print(f"{failures} check(s) failed", file=sys.stderr)
         return 1
     return 0
 
 
-COMMANDS = {
-    "basis": cmd_basis,
-    "poly": cmd_poly,
-    "product": cmd_product,
-    "lift": cmd_lift,
-    "chern": cmd_chern,
-    "dims": cmd_dims,
-    "series": cmd_series,
-    "generators": cmd_generators,
-    "relations": cmd_relations,
-    "verify": cmd_verify,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except ValueError as exc:
         print(f"jring: {exc}", file=sys.stderr)
         return 2

@@ -50,12 +50,8 @@ def realize(comb: JCombination) -> XPolynomial:
     return XPolynomial._canonical(out)
 
 
-def is_zero_supported(comb: JCombination) -> bool:
-    """True iff every label lies in B(0), i.e. indexes a kernel basis element."""
-    return all(_in_b0(beta) for beta in comb)
-
-
 def _in_b0(beta: Composition) -> bool:
+    # True iff beta lies in B(0), i.e. indexes a kernel basis element
     if beta == EMPTY or beta == (1,):
         return True
     return len(beta) >= 2 and beta[0] == 0 and beta[-1] >= 1
@@ -83,7 +79,7 @@ def structure_constants(
     if not (is_composition(beta) and is_composition(beta2)):
         raise ValueError("invalid basis labels")
     if beta == EMPTY:
-        return {beta2: 1} if beta2 != EMPTY else {EMPTY: 1}
+        return {beta2: 1}
     if beta2 == EMPTY:
         return {beta: 1}
     ell, ell2 = len(beta), len(beta2)
@@ -129,7 +125,7 @@ def structure_constants(
 
 def j_product(c1: JCombination, c2: JCombination) -> JCombination:
     """Bilinear product in the abstract ring presented on B(0) labels."""
-    if not (is_zero_supported(c1) and is_zero_supported(c2)):
+    if not all(map(_in_b0, [*c1, *c2])):
         raise ValueError("j_product operands must be supported on B(0)")
     out: JCombination = {}
     for b1, a1 in c1.items():

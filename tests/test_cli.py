@@ -15,6 +15,7 @@ from jring.cli import (
 )
 from jring import analysis, invariants
 from jring.invariants import g_poly
+from jring.xring import XPolynomial
 
 from test_checks import lowering_leaves_the_slice
 
@@ -36,6 +37,15 @@ def test_render_polynomial_text():
 
 def test_render_polynomial_latex():
     assert render_polynomial(g_poly((0, 2)), "latex") == "x_2^2 - 2 x_1x_3"
+
+
+def test_monomials_brace_two_digit_parts_and_exponents_in_latex():
+    # runs of equal parts, smallest part first; LaTeX braces a part or an
+    # exponent of 10 or more
+    p = XPolynomial({(12, 12, 3) + (1,) * 10: 1})
+    assert render_polynomial(p, "text") == "x1^10*x3*x12^2"
+    assert render_polynomial(p, "latex") == "x_1^{10}x_3x_{12}^2"
+    assert render_polynomial(XPolynomial({(10, 9, 9): 1}), "latex") == "x_9^2x_{10}"
 
 
 def test_render_polynomial_json_round_trip():
@@ -208,6 +218,12 @@ def test_verify_command(capsys):
     assert all(line.startswith("PASS") for line in lines)
     name = "dimension table matches bivariate Poincare series row by row"
     assert f"PASS  {name}" in lines
+    # the same checks as JSON records, in the same order
+    code, out = run(capsys, "verify", "--max-n", "4", "--format", "json")
+    assert code == 0
+    records = json.loads(out)
+    assert [r["check"] for r in records] == [line[6:] for line in lines]
+    assert all(r["ok"] is True for r in records)
 
 
 def test_verify_reports_a_bivariate_row_that_differs(capsys, monkeypatch):
@@ -263,6 +279,13 @@ def test_a_lowering_outside_the_slice_fails_verify_and_stops_dims(capsys, monkey
         "FAIL  dimension table matches bivariate Poincare series row by row" in captured.out
     )
     assert len(captured.out.splitlines()) == 9
+    assert captured.err.endswith(" check(s) failed\n") and captured.err.count("\n") == 1
+    assert main(["verify", "--max-n", "6", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    records = {r["check"]: r["ok"] for r in json.loads(captured.out)}
+    assert len(records) == 9
+    assert records["kernel of d matches the span of the B(0) basis"] is False
+    assert records["dimension table: counting vs kernel rank"] is False
     assert captured.err.endswith(" check(s) failed\n") and captured.err.count("\n") == 1
     assert main(["dims", "--max-n", "4"]) == 1
     captured = capsys.readouterr()
