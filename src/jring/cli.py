@@ -1,13 +1,19 @@
 """Command-line front end: argument parsing and text / JSON / LaTeX output.
 
 Each subcommand's parser carries its handler as args.run, so build_parser is
-the one list of subcommands.  A command that lists items (basis, chern
---ell, dims, generators, relations, verify) prints them through _print_items
-and gives only the items, an item's JSON record and its line: JSON output is
-one array of records, text and LaTeX output one line per item.  basis_label
-writes a basis label, g(0,2) in text and g_{(0,2)} in LaTeX, and
-_render_terms writes every signed sum of terms: polynomials, J-combinations
-and the LaTeX Poincare series.
+the one declaration of the command line.  main reads a line in the plain
+spelling (exact option strings as --opt V or --opt=V, flags, the declared
+positionals, each option once) with a lookup compiled once per process from
+that parser, which gives the Namespace argparse would; any other line (help,
+abbreviations, --, errors) goes to argparse's own parse_args, the one source
+of help, usage and error text.
+
+A command that lists items (basis, chern --ell, dims, generators, relations,
+verify) prints them through _print_items and gives only the items, an item's
+JSON record and its line: JSON output is one array of records, text and
+LaTeX output one line per item.  basis_label writes a basis label, g(0,2) in
+text and g_{(0,2)} in LaTeX, and _render_terms writes every signed sum of
+terms: polynomials, J-combinations and the LaTeX Poincare series.
 """
 
 from __future__ import annotations
@@ -16,8 +22,7 @@ import argparse
 import functools
 import json
 import sys
-from itertools import groupby
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import analysis, checks, invariants
 from .combinatorics import (
@@ -41,20 +46,31 @@ def render_polynomial_json(p: XPolynomial) -> list[dict]:
     ]
 
 
+def _runs(lam):
+    """(part, multiplicity) for each run of equal parts of a partition, smallest part first."""
+    end = len(lam)
+    while end:
+        v = lam[end - 1]
+        start = end - 1
+        while start and lam[start - 1] == v:
+            start -= 1
+        yield v, end - start
+        end = start
+
+
 def _monomial_text(lam) -> str:
     if not lam:
         return "1"
-    runs = groupby(reversed(lam))  # runs of equal parts, smallest part first
-    return "*".join([f"x{v}^{e}" if (e := len(list(run))) > 1 else f"x{v}" for v, run in runs])
+    return "*".join([f"x{v}^{e}" if e > 1 else f"x{v}" for v, e in _runs(lam)])
 
 
 def _monomial_latex(lam) -> str:
     if not lam:
         return "1"
     pieces = []
-    for v, run in groupby(reversed(lam)):
+    for v, e in _runs(lam):
         pieces.append(f"x_{{{v}}}" if v >= 10 else f"x_{v}")
-        if (e := len(list(run))) > 1:
+        if e > 1:
             pieces[-1] += f"^{{{e}}}" if e >= 10 else f"^{e}"
     return "".join(pieces)
 
@@ -159,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The jring argument parser, built on first use and shared process-wide.
 
     Every call returns the same object; parse_args keeps no state in it
-    between calls, so repeated main() calls in one process only parse.
+    between calls.  main reads plain command lines with _lookup, compiled
+    from this parser on the first call, and hands the rest to parse_args.
     """
     parser = argparse.ArgumentParser(
         prog="jring",
@@ -233,6 +250,129 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_verify)
 
     return parser
+
+
+class _Lookup(NamedTuple):
+    """One argparse parser's command line, read off its actions."""
+
+    options: dict  # exact option string -> its action
+    positionals: tuple  # the positional actions, in order
+    defaults: dict  # the value argparse gives each dest not on the line
+    required: frozenset  # dests that must be given, the positionals' included
+    exclusive: tuple  # (required, dests) of each mutually exclusive group
+    commands: Optional[dict]  # subcommand name -> its _Lookup
+    command_dest: Optional[str]  # the dest that names the subcommand
+
+
+def _compile(parser: argparse.ArgumentParser) -> Optional[_Lookup]:
+    """The lookup of parser, or None if it has an action the lookup cannot read."""
+    options, positionals, defaults = {}, [], {}
+    commands = command_dest = None
+    for action in parser._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            default = action.default
+            if isinstance(default, str) and action.type is not None:
+                default = action.type(default)
+            defaults[action.dest] = default
+        if isinstance(action, argparse._SubParsersAction):
+            commands = {name: _compile(p) for name, p in action.choices.items()}
+            command_dest = action.dest
+        elif isinstance(action, argparse._StoreConstAction) or (
+            isinstance(action, argparse._StoreAction) and action.nargs is None
+        ):
+            options.update(dict.fromkeys(action.option_strings, action))
+            if not action.option_strings:
+                positionals.append(action)
+        elif not isinstance(action, argparse._HelpAction):
+            return None
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return _Lookup(
+        options,
+        tuple(positionals),
+        defaults,
+        frozenset(a.dest for a in parser._actions if a.required and a.dest != command_dest),
+        tuple(
+            (group.required, frozenset(a.dest for a in group._group_actions))
+            for group in parser._mutually_exclusive_groups
+        ),
+        commands,
+        command_dest,
+    )
+
+
+@functools.cache
+def _lookup() -> Optional[_Lookup]:
+    return _compile(build_parser())
+
+
+def _read(lookup: Optional[_Lookup], argv: list[str], i: int, args: dict) -> bool:
+    """Store argv[i:] in args as argparse would, or return False.
+
+    Reads only the spelling whose meaning is plain: exact option strings as
+    --opt V or --opt=V, flags, and exactly the declared positionals, each
+    dest at most once.  Everything else (help, abbreviations, --, a value
+    that starts with -, a bad value, a missing or conflicting option) is
+    left to argparse, which also writes every message.
+    """
+    if lookup is None:
+        return False
+    args.update(lookup.defaults)
+    seen = set()
+    positionals = iter(lookup.positionals)
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token[:1] != "-":
+            action = next(positionals, None)
+            if action is None:
+                # argparse hands the rest of the line to the subcommand
+                if lookup.commands is None or token not in lookup.commands:
+                    return False
+                args[lookup.command_dest] = token
+                return _complete(lookup, seen) and _read(lookup.commands[token], argv, i, args)
+            value = token
+        else:
+            option, eq, value = token.partition("=")
+            action = lookup.options.get(option)
+            if action is None or action.dest in seen:
+                return False
+            if action.nargs == 0:
+                if eq:
+                    return False
+                value = action.const
+            elif not eq:
+                if i == len(argv) or argv[i][:1] == "-":
+                    return False
+                value = argv[i]
+                i += 1
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return False
+        if action.choices is not None and value not in action.choices:
+            return False
+        args[action.dest] = value
+        seen.add(action.dest)
+    return lookup.commands is None and _complete(lookup, seen)
+
+
+def _complete(lookup: _Lookup, seen: set) -> bool:
+    """Every required dest is given, and each exclusive group is kept."""
+    if not lookup.required <= seen:
+        return False
+    for required, dests in lookup.exclusive:
+        given = len(dests & seen)
+        if given > 1 or (required and not given):
+            return False
+    return True
+
+
+def _plain_args(argv: list[str]) -> Optional[dict]:
+    """vars(build_parser().parse_args(argv)) if _read can read argv, else None."""
+    args: dict = {}
+    return args if _read(_lookup(), argv, 0, args) else None
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +527,9 @@ def cmd_verify(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    plain = _plain_args(argv)
+    args = build_parser().parse_args(argv) if plain is None else argparse.Namespace(**plain)
     try:
         return args.run(args)
     except ValueError as exc:
