@@ -22,10 +22,25 @@ lambda with those j parts lowered by one; mu lies in slice (n - j, l) and
 The row of mu becomes a row of slice (n, l) by e_j e^beta = e^{beta + u_j},
 and every other nu is dominance-smaller than lambda in the same slice, so
 its row is already solved.  The one partition with lambda_1 = 1 is (1^l),
-and m_{1^l} = e_l.  A build therefore reads the rows of the earlier slices
-of its length from the memo, and transition_matrix fills those in
+and m_{1^l} = e_l.  A Pieri build therefore reads the rows of the earlier
+slices of its length from the memo, and transition_matrix fills those in
 increasing n first.  expand_elementary_product multiplies out e^beta with
 the same rule; the build does not need it.
+
+A slice with 2l > n is stable: it holds the rows of slice (n - 1, l - 1)
+entry for entry.  Each lambda in it ends in a part 1, and m_lambda =
+e_l m_mu with mu = lambda - (1^l) of weight n - l < l, while kappa, lambda
+without its last part, has m_kappa = e_{l-1} m_mu in l - 1 variables.  A
+symmetric function of degree d has one e-expansion in any number >= d of
+variables (Macdonald, I.2), so m_mu = sum c_gamma e^gamma in both, and the
+two rows differ only in their labels, gamma + u_l against gamma + u_{l-1}.
+These lead with kappa + (1) and kappa, and kappa -> kappa + (1) maps the
+partitions of (n - 1, l - 1) onto those of (n, l) in order, so the k-th
+label of one slice stands for the k-th of the other.  When (n - 1, l - 1)
+is stored, a stable slice is built by appending the part 1 to its
+partitions and keeping its list of rows, with no Pieri step; an ascending
+sweep, which asks for (n - 1, l - 1) first, builds every stable slice so.
+Otherwise, as in a cold chain of one length, the Pieri steps run.
 
 A slice is stored once, in index form: row i belongs to the i-th partition
 and maps k to the entry at the k-th composition, whose leading partition is
@@ -135,8 +150,10 @@ class TransitionMatrix:
 
     index_rows is the stored form, one row per partition in the order of
     partitions: index_rows[i][k] is M[partitions[i]][compositions[k]], zero
-    entries omitted.  entries keys the same entries by (partition,
-    composition); it is a view, built on first read.
+    entries omitted.  A stable slice (n, l), 2l > n, may hold the very list
+    of slice (n - 1, l - 1), so index_rows is read-only.  entries keys the
+    same entries by (partition, composition); it is a view, built on first
+    read.
     """
 
     n: int
@@ -170,7 +187,13 @@ _memo: dict[tuple[int, int], TransitionMatrix] = {}
 
 
 def _build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
-    # reads the rows of the slices (n - j, ell), 1 <= j <= ell, from the memo
+    # a stable slice shares the rows of (n - 1, ell - 1) when that is stored;
+    # otherwise reads the rows of the slices (n - j, ell), 1 <= j <= ell
+    if 2 * ell > n and (n - 1, ell - 1) in _memo:
+        below = _memo[(n - 1, ell - 1)]
+        partitions = [kappa + (1,) for kappa in below.partitions]
+        compositions = [from_leading_partition(lam) for lam in partitions]
+        return TransitionMatrix(n, ell, partitions, compositions, below.index_rows)
     partitions = enumerate_partitions(n, ell)
     compositions = [from_leading_partition(lam) for lam in partitions]
     position = {lam: i for i, lam in enumerate(partitions)}
@@ -214,10 +237,11 @@ def _build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
 
 def _fill_memo(n: int, ell: int) -> None:
     # build the missing slices (m, ell), m <= n, in increasing m: a loop and
-    # not a recursion, so the depth does not grow with n.  A build reads the
-    # ell slices below it, so each slice this loop adds is dropped again once
-    # no later build reads it; otherwise a cold (n, 2) would keep O(n^3)
-    # entries where the slice itself has O(n^2)
+    # not a recursion, so the depth does not grow with n.  A Pieri build
+    # reads the ell slices below it, so each slice this loop adds is dropped
+    # again once no later build reads it; otherwise a cold (n, 2) would keep
+    # O(n^3) entries where the slice itself has O(n^2).  A stable slice that
+    # shares the rows of a stored (m - 1, ell - 1) reads nothing of its chain
     added: list[int] = []
     for m in range(ell, n + 1):
         if (m, ell) not in _memo:

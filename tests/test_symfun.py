@@ -153,6 +153,58 @@ def test_slice_is_stored_once(monkeypatch):
     )
 
 
+def _cold(n, ell):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symfun, "_memo", {})
+        return transition_matrix(n, ell)
+
+
+def test_stable_slice_holds_the_rows_of_the_slice_below():
+    # both slices built cold, so both go through Pieri steps: for 2l > n,
+    # m_(kappa + (1)) in l variables has the e-expansion of m_kappa in l - 1
+    stable = [(n, ell) for n in range(2, 25) for ell in range(n // 2 + 1, n + 1)]
+    assert len(stable) == 155
+    for n, ell in stable:
+        tm, below = _cold(n, ell), _cold(n - 1, ell - 1)
+        assert tm.index_rows == below.index_rows
+        assert tm.partitions == [kappa + (1,) for kappa in below.partitions]
+
+
+def test_ascending_sweep_shares_the_rows_of_stable_slices(monkeypatch):
+    # exactly the slices with 2l > n share: not those at 2l = n, such as
+    # (4, 2) and (6, 3)
+    monkeypatch.setattr(symfun, "_memo", {})
+    for n in range(1, 17):
+        for ell in range(1, n + 1):
+            tm = transition_matrix(n, ell)
+            assert tm.partitions == enumerate_partitions(n, ell)
+            if ell > 1:
+                below = transition_matrix(n - 1, ell - 1)
+                assert (tm.index_rows is below.index_rows) == (2 * ell > n)
+
+
+@st.composite
+def stable_slices(draw, max_n):
+    n = draw(st.integers(2, max_n))
+    return n, draw(st.integers(n // 2 + 1, n))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(stable_slices(30))
+def test_shared_stable_slice_matches_cold_build_on_drawn_slices(slice_):
+    n, ell = slice_
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symfun, "_memo", {})
+        below = transition_matrix(n - 1, ell - 1)
+        tm = transition_matrix(n, ell)
+        assert tm.index_rows is below.index_rows
+        assert checks.expansion_inverts_matrix(n, ell)
+    cold = _cold(n, ell)
+    assert (tm.partitions, tm.compositions, tm.index_rows) == (
+        cold.partitions, cold.compositions, cold.index_rows
+    )
+
+
 def _padded_partitions(max_length, max_weight):
     # every weakly decreasing tuple of length <= max_length, zeros allowed,
     # of weight <= max_weight
