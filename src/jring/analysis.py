@@ -18,7 +18,6 @@ from . import combinatorics, invariants, xring
 from .combinatorics import (
     Composition,
     Partition,
-    enumerate_compositions,
     enumerate_partitions,
     from_leading_partition,
     composition_sort_key,
@@ -199,8 +198,8 @@ def dimension_table(n_max: int) -> DimensionTable:
     its own, and its other entries lower a later block, so they sit at
     lexicographically larger partitions, which the codomain lists first.
     The (n, l) monomials come from the previous degree's lists, through
-    combinatorics.partitions_of_next_degree; the counting route enumerates
-    the labels separately.
+    combinatorics.partitions_of_next_degree; the counting route counts the
+    labels separately, by combinatorics.count_compositions.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
@@ -219,7 +218,7 @@ def dimension_table(n_max: int) -> DimensionTable:
                 # an empty column fails the first test, so max never sees it
                 if column.get(i) != 1 or max(column) > i:
                     raise RuntimeError(f"d is not onto at (n={n}, ell={ell})")
-            by_count = len(enumerate_compositions(n, ell, first=0))
+            by_count = combinatorics.count_compositions(n, ell)
             by_rank = len(current[ell]) - len(codomain)
             if by_count != by_rank:
                 raise RuntimeError(
@@ -331,24 +330,46 @@ Relation = dict[Monomial, int]
 def _monomials_of_weight(
     generators: Sequence[Composition], target: int
 ) -> list[Monomial]:
+    """The monomials of weight target in the generators, as sorted tuples.
+
+    They come in depth-first order: over the generators in canonical order,
+    the most copies of each first.  That order fixes the columns of
+    find_relations, and with them the canonical rows of its kernel.  Bit w
+    of reach[k] is set iff gens[k:] make weight w exactly; the search takes
+    only branches whose remaining weight is reachable, so each ends in a
+    monomial.
+    """
     gens = sorted(generators, key=composition_sort_key)
     weights = [weight(g) for g in gens]
+    if min(weights, default=1) < 1:
+        raise ValueError("generators need positive weight")
+    if target < 1:
+        return []
+    mask = (1 << (target + 1)) - 1
+    reach = [1] * (len(gens) + 1)
+    for k in range(len(gens) - 1, -1, -1):
+        made = shifted = reach[k + 1]
+        while shifted:
+            shifted = (shifted << weights[k]) & mask
+            made |= shifted
+        reach[k] = made
     out: list[Monomial] = []
 
-    def rec(idx: int, remaining: int, acc: list[Composition]):
-        if remaining == 0:
-            if len(acc) >= 1:
-                out.append(tuple(acc))
-            return
-        # the weights never decrease, so nothing after a too-heavy one fits
-        if idx == len(gens) or weights[idx] > remaining:
-            return
-        w = weights[idx]
-        max_copies = remaining // w
-        for copies in range(max_copies, -1, -1):
-            rec(idx + 1, remaining - copies * w, acc + [gens[idx]] * copies)
+    def rec(idx: int, remaining: int, acc: Monomial) -> None:
+        # extend acc by each monomial of weight remaining > 0 in gens[idx:],
+        # taking gens[k] next for k = idx, idx + 1, ... in turn
+        for k in range(idx, len(gens)):
+            if not reach[k] >> remaining & 1:
+                return  # reach[k] holds every later reach[k']
+            g, w, later = gens[k], weights[k], reach[k + 1]
+            for copies in range(remaining // w, 0, -1):
+                left = remaining - copies * w
+                if not left:
+                    out.append(acc + (g,) * copies)
+                elif later >> left & 1:
+                    rec(k + 1, left, acc + (g,) * copies)
 
-    rec(0, target, [])
+    rec(0, target, ())
     return out
 
 

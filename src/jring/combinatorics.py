@@ -30,9 +30,7 @@ def is_composition(beta: Composition) -> bool:
     """True iff beta is an admissible exponent vector (member of B^(l))."""
     if len(beta) == 0:
         return True
-    if beta[-1] < 1:
-        return False
-    return all(b >= 0 for b in beta[:-1])
+    return beta[-1] >= 1 and min(beta) >= 0
 
 
 def weight(beta: Composition) -> int:
@@ -208,3 +206,42 @@ def enumerate_compositions(
                 lams, rest - 2 * second, ell - 2, second, (second + first, second)
             )
     return [from_leading_partition(lam) for lam in lams]
+
+
+def count_compositions(n: int, ell: int) -> int:
+    """len(enumerate_compositions(n, ell, first=0)) for ell >= 1, counted.
+
+    For ell >= 2 this is the same search as that slice's branch, over
+    leading partitions with lam_1 = lam_2 and the same bounds, but it counts
+    the partitions instead of building them.  The count below a search
+    state depends only on (remaining, parts_left, top), top the largest next
+    part, so each state is counted once per call, and a state with two
+    parts left has one partition per next part.
+    """
+    if ell == 1:
+        return int(n == 1)  # B_n^(1)(0) = {(1,)} exactly when n = 1
+    counted: dict[tuple[int, int, int], int] = {}
+
+    def count(remaining: int, parts_left: int, max_part: int) -> int:
+        # the number of partitions _search(remaining, parts_left, max_part)
+        # appends
+        if parts_left <= 1:
+            return 1
+        top = min(max_part, remaining - parts_left + 1)
+        low = -(-remaining // parts_left)
+        if parts_left == 2:
+            return top - low + 1
+        state = (remaining, parts_left, top)
+        total = counted.get(state)
+        if total is None:
+            total = sum(
+                count(remaining - p, parts_left - 1, p) for p in range(low, top + 1)
+            )
+            counted[state] = total
+        return total
+
+    low = max(1, -(-n // ell))
+    return sum(
+        count(n - 2 * second, ell - 2, second)
+        for second in range(low, (n - ell + 2) // 2 + 1)
+    )

@@ -74,6 +74,11 @@ def structure_constants(
     with T[ell][ell'] >= 1 count, so every beta'' has length ell + ell' and
     weight weight(beta) + weight(beta2); each coefficient returned is
     positive.
+
+    The tables are filled row by row over the nonzero rows and columns.  A
+    cell set to 0 changes neither the weight nor the running totals, so it
+    goes straight to the next cell, and row 0 and column 0 multiply in a
+    binomial only where they take something.
     """
     beta, beta2 = tuple(beta), tuple(beta2)
     if not (is_composition(beta) and is_composition(beta2)):
@@ -85,41 +90,51 @@ def structure_constants(
     ell, ell2 = len(beta), len(beta2)
     comb = math.comb
     # only rows and columns with a nonzero total hold nonzero entries
-    rows = [j for j, b in enumerate(beta, start=1) if b]
+    rows = [(j, b) for j, b in enumerate(beta, start=1) if b]
     cols = [j2 for j2, b in enumerate(beta2, start=1) if b]
-    col_left = list(beta2)  # column totals still left, column j' at j'-1
+    last_row, ncols = len(rows) - 1, len(cols)
+    col_left = [0, *beta2]  # column totals still left, at column j'
     diag = [0] * (ell + ell2 + 1)  # beta''_i so far at i
     out: dict[Composition, int] = {}
 
-    def place(r: int, c: int, row_left: int, w: int) -> None:
-        # choose T[j][j2] for j = rows[r], j2 = cols[c], then the next cell;
-        # w is the weight of the cells placed so far
-        j = rows[r]
-        if c == len(cols):
-            w *= comb(diag[j] + row_left, row_left)  # T[j][0]
-            diag[j] += row_left
-            if r + 1 < len(rows):
-                place(r + 1, 0, beta[rows[r + 1] - 1], w)
+    def place(r: int, c: int, j: int, row_left: int, w: int) -> None:
+        # choose T[j][j2] for (j, beta_j) = rows[r], j2 = cols[c], then the
+        # next cell; w is the weight of the cells placed so far
+        if c == ncols:
+            s = diag[j]
+            if row_left:  # T[j][0]
+                w *= comb(s + row_left, row_left)
+                diag[j] = s + row_left
+            if r < last_row:
+                next_j, next_b = rows[r + 1]
+                place(r + 1, 0, next_j, next_b, w)
             else:
                 top = diag[:]
-                for j2, t in enumerate(col_left, start=1):  # T[0][j2]
-                    w *= comb(top[j2] + t, t)
-                    top[j2] += t
+                for j2 in cols:  # T[0][j2]
+                    t = col_left[j2]
+                    if t:
+                        w *= comb(top[j2] + t, t)
+                        top[j2] += t
                 key = tuple(top[1:])
                 out[key] = out.get(key, 0) + w
-            diag[j] -= row_left
+            diag[j] = s
             return
         j2 = cols[c]
-        s = diag[j + j2]
-        lo = 1 if (j, j2) == (ell, ell2) else 0
-        for t in range(lo, min(row_left, col_left[j2 - 1]) + 1):
-            col_left[j2 - 1] -= t
-            diag[j + j2] = s + t
-            place(r, c + 1, row_left - t, w * comb(s + t, t))
-            col_left[j2 - 1] += t
-        diag[j + j2] = s
+        # T[j][j2] = 0 changes nothing; the last cell is T[ell][ell'] >= 1
+        if r < last_row or c + 1 < ncols:
+            place(r, c + 1, j, row_left, w)
+        left = col_left[j2]
+        i = j + j2
+        s = diag[i]
+        for t in range(1, min(row_left, left) + 1):
+            col_left[j2] = left - t
+            diag[i] = s + t
+            place(r, c + 1, j, row_left - t, w * comb(s + t, t))
+        col_left[j2] = left
+        diag[i] = s
 
-    place(0, 0, beta[rows[0] - 1], 1)
+    j, b = rows[0]
+    place(0, 0, j, b, 1)
     return out
 
 

@@ -8,6 +8,11 @@ the subcommand.  tests/test_cli_golden.py compares each case with RECORDED.
 RECORDED is written only by this command, from the repository root:
 
     PYTHONPATH=src python3 tests/cli_golden.py --record
+
+The same file checks the record without pytest, on any Python the package
+supports; it lists each case that differs and exits 1 if there is one:
+
+    PYTHONPATH=src python3 tests/cli_golden.py --check
 """
 
 from __future__ import annotations
@@ -355,7 +360,31 @@ def record() -> None:
     path.write_text(text[:start] + block + text[end:])
 
 
+def unpaired_keys() -> list[str]:
+    """The keys that are a case or recorded, but not both."""
+    return sorted(set(RECORDED).symmetric_difference(" ".join(a) for a in CASES))
+
+
+def matches_the_record(argv: list[str]) -> bool:
+    return run_case(argv) == RECORDED.get(" ".join(argv))
+
+
+def check() -> int:
+    """Replay every case against RECORDED; 1 if any differs, else 0."""
+    differ = [" ".join(argv) for argv in CASES if not matches_the_record(argv)]
+    unpaired = unpaired_keys()
+    for key in differ:
+        print(f"differs: {key}")
+    for key in unpaired:
+        print(f"a case or recorded, not both: {key}")
+    print(f"{len(CASES) - len(differ)} of {len(CASES)} cases match the record")
+    return 1 if differ or unpaired else 0
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: PYTHONPATH=src python3 tests/cli_golden.py --record")
-    record()
+    if sys.argv[1:] == ["--record"]:
+        record()
+    elif sys.argv[1:] == ["--check"]:
+        sys.exit(check())
+    else:
+        sys.exit("usage: PYTHONPATH=src python3 tests/cli_golden.py --record | --check")

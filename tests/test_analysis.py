@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jring import analysis, checks, invariants, xring
@@ -32,6 +32,7 @@ from jring.xring import XPolynomial, derivation_d
 
 from appendix_data import RELATION_A, RELATION_B
 import candidate_oracle
+import monomial_oracle
 import rational_rref_oracle
 
 
@@ -383,6 +384,35 @@ def test_monomials_of_weight_lists_each_product_once_in_order(degree):
     assert copies == sorted(set(copies), reverse=True)
 
 
+def test_monomials_of_weight_match_the_unpruned_search():
+    # monomials and order: the order fixes the relations' canonical rows
+    for degree in range(1, 27):
+        gens = generator_candidates(degree)
+        assert _monomials_of_weight(gens, degree) == (
+            monomial_oracle.monomials_of_weight(gens, degree)
+        )
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.lists(st.sampled_from(generator_candidates(20)), unique=True, max_size=10),
+    st.integers(-1, 30),
+)
+@example([(0, 2), (0, 0, 2)], 7)  # weights 4 and 6 never make 7
+@example([(0, 3)], 0)
+def test_monomials_of_weight_match_the_unpruned_search_on_drawn_generators(
+    gens, target
+):
+    assert _monomials_of_weight(gens, target) == (
+        monomial_oracle.monomials_of_weight(gens, target)
+    )
+
+
+def test_monomials_of_weight_refuse_the_unit_as_a_generator():
+    with pytest.raises(ValueError):
+        _monomials_of_weight([(1,), ()], 3)
+
+
 def test_relation_columns_fold_one_product_per_prefix(monkeypatch):
     # each column find_relations builds is the product evaluate_monomial
     # folds, made with one j_product per distinct nonempty prefix
@@ -404,12 +434,12 @@ def test_relation_columns_fold_one_product_per_prefix(monkeypatch):
         assert len(calls) == len(prefixes)
 
 
-# Relation counts in degrees 1..18.  No published table goes this far; the
+# Relation counts in degrees 1..24.  No published table goes this far; the
 # two routes below check each other.
-RELATION_COUNTS = [0] * 11 + [2, 2, 4, 5, 11, 15, 26]
+RELATION_COUNTS = [0] * 11 + [2, 2, 4, 5, 11, 15, 26, 34, 55, 74, 111, 150, 220]
 
 
-@pytest.mark.parametrize("degree", range(1, 19))
+@pytest.mark.parametrize("degree", range(1, 25))
 def test_relation_counts(degree):
     gens = generator_candidates(degree)
     count = RELATION_COUNTS[degree - 1]

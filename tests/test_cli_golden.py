@@ -2,13 +2,13 @@
 
 import pytest
 
-from cli_golden import CASES, RECORDED, run_case
+from cli_golden import CASES, matches_the_record, unpaired_keys
 
 
 def test_every_case_is_recorded():
-    assert sorted(RECORDED) == sorted(" ".join(argv) for argv in CASES)
+    assert unpaired_keys() == []
 
 
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_output_matches_the_record(argv):
-    assert run_case(argv) == RECORDED[" ".join(argv)]
+    assert matches_the_record(argv)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from jring.combinatorics import (
     EMPTY,
     conjugate,
+    count_compositions,
     dominance_leq,
     enumerate_compositions,
     enumerate_partitions,
@@ -42,6 +43,22 @@ def test_enumerate_membership_and_weight():
                 assert is_composition(beta)
                 assert len(beta) == ell
                 assert weight(beta) == n
+
+
+def test_is_composition_refuses_a_negative_entry_or_a_zero_last_entry():
+    for beta in [EMPTY, (1,), (0, 0, 1), (3, 0, 2)]:
+        assert is_composition(beta)
+    for beta in [(0,), (1, 0), (-1,), (-1, 2), (2, -1, 3), (0, 0, -2, 1)]:
+        assert not is_composition(beta)
+
+
+def test_count_compositions_matches_the_enumeration():
+    # the dims counting route, for every slice it counts through n = 30
+    for n in range(1, 31):
+        for ell in range(1, n + 1):
+            assert count_compositions(n, ell) == len(
+                enumerate_compositions(n, ell, first=0)
+            )
 
 
 def test_first_slices_partition_the_index_set():

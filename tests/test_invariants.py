@@ -44,6 +44,18 @@ def b0_pairs(draw, max_total):
     )
 
 
+@st.composite
+def label_pairs(draw, max_total):
+    # two admissible labels of any first entry, so that the split tables
+    # have nonzero first rows and columns too
+    n1 = draw(st.integers(1, max_total - 1))
+    n2 = draw(st.integers(1, max_total - n1))
+    return tuple(
+        draw(st.sampled_from(enumerate_compositions(n, draw(st.integers(1, n)))))
+        for n in (n1, n2)
+    )
+
+
 # ---------------------------------------------------------------------------
 # basis polynomials
 
@@ -151,6 +163,17 @@ def test_structure_constants_match_split_table_oracle():
 def test_structure_constants_match_split_table_oracle_on_drawn_pairs(pair):
     # past the weights the pair-table oracle can reach
     assert structure_constants(*pair) == split_table_constants(*pair)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(label_pairs(max_total=24))
+def test_structure_constants_of_drawn_labels_match_oracle_and_commute(pair):
+    # general labels, which the product command accepts; the swapped call
+    # fills the tables by the other operand's rows, in another order
+    b1, b2 = pair
+    got = structure_constants(b1, b2)
+    assert got == split_table_constants(b1, b2)
+    assert got == structure_constants(b2, b1)
 
 
 @settings(max_examples=25, deadline=None, database=None)
