@@ -9,7 +9,6 @@ for algebra generators and their relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import sub
 from typing import Mapping, Optional, Sequence
@@ -179,16 +178,8 @@ def kernel_basis(n: int, ell: int) -> list[XPolynomial]:
     ]
 
 
-@dataclass
-class DimensionTable:
-    """dim of each (degree, length) slice of the kernel, with row totals."""
-
-    dims: dict[int, list[int]]  # dims[n][ell - 1] for ell = 1..n
-    totals: dict[int, int]
-
-
-def dimension_table(n_max: int) -> DimensionTable:
-    """Kernel dimensions computed two independent ways and cross-checked.
+def dimension_table(n_max: int) -> dict[int, list[int]]:
+    """{n: [dim of slice (n, l) for l = 1..n]}, two ways and cross-checked.
 
     Counting method: |B_n^(l)(0)|.  Rank method: columns minus rank of the
     matrix of d on the (n, l) monomial slice, where the rank is the number
@@ -204,7 +195,6 @@ def dimension_table(n_max: int) -> DimensionTable:
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     dims: dict[int, list[int]] = {}
-    totals: dict[int, int] = {}
     # the partition lists of the previous degree at index ell, which are the
     # codomains of d; each degree's lists are built from the previous ones
     below: list[list[Partition]] = [[()]]
@@ -227,9 +217,8 @@ def dimension_table(n_max: int) -> DimensionTable:
                 )
             row.append(by_count)
         dims[n] = row
-        totals[n] = sum(row)
         below = current
-    return DimensionTable(dims, totals)
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +398,3 @@ def find_relations(
     # one column per monomial: its product over the B(0) labels
     kernel = _kernel(_monomial_products(monomials))
     return [{monomials[j]: c for j, c in sorted(v.items())} for v in kernel]
-
-
-# membership of a relation, keyed by monomial, in the span of a relation basis
-relation_in_span = in_span

@@ -422,43 +422,52 @@ def cmd_chern(args) -> int:
         print(render_polynomial(poly, args.format))
         return 0
 
-    def label(exps, e, times):
-        # e2^2*e3 in text, e_2^2e_3 in LaTeX
-        return times.join(
-            f"{e}{j}" + (f"^{k}" if k > 1 else "") for j, k in enumerate(exps, start=2) if k > 0
-        )
+    def label(exps, latex):
+        # e2^2*e3 in text, e_2^2e_3 in LaTeX; LaTeX takes one character as a
+        # script, so there a script of 10 or more is braced: e_{10}^{12}
+        e, times = ("e_", "") if latex else ("e", "*")
+        pieces = []
+        for j, k in enumerate(exps, start=2):
+            if k:
+                sub = f"{{{j}}}" if latex and j >= 10 else j
+                sup = f"{{{k}}}" if latex and k >= 10 else k
+                pieces.append(f"{e}{sub}^{sup}" if k > 1 else f"{e}{sub}")
+        return times.join(pieces)
 
     return _print_items(
         args.format,
         invariants.chern_coefficients(args.ell, args.max_degree).items(),
         lambda ep: {"exponents": list(ep[0]), "polynomial": render_polynomial_json(ep[1])},
-        lambda ep: f"{label(ep[0], 'e', '*')}: {render_polynomial_text(ep[1])}",
-        lambda ep: f"{label(ep[0], 'e_', '')} &: {render_polynomial_latex(ep[1])} \\\\",
+        lambda ep: f"{label(ep[0], False)}: {render_polynomial_text(ep[1])}",
+        lambda ep: f"{label(ep[0], True)} &: {render_polynomial_latex(ep[1])} \\\\",
     )
 
 
 def cmd_dims(args) -> int:
     if args.max_n < 1:
         raise ValueError("dims needs --max-n >= 1")
-    table = analysis.dimension_table(args.max_n)
+    dims = analysis.dimension_table(args.max_n)
     degrees = range(1, args.max_n + 1)
-    width = 4
+    # every cell keeps a space before it, however large the numbers grow
+    width = max(4, 1 + len(str(max(map(max, dims.values())))))
+    total_width = max(5, len(str(max(map(sum, dims.values())))))
 
     def text(n):
-        row = table.dims[n] + [0] * (args.max_n - n)
+        row = dims[n] + [0] * (args.max_n - n)
         cells = "".join(f"{d:>{width}}" for d in row)
-        return f"{n:>3} |{cells} | {table.totals[n]:>5}"
+        return f"{n:>3} |{cells} | {sum(dims[n]):>{total_width}}"
 
     if args.format == "text":
-        header = "  n |" + "".join(f"{ell:>{width}}" for ell in degrees) + " | total"
+        cells = "".join(f"{ell:>{width}}" for ell in degrees)
+        header = f"  n |{cells} | {'total':>{total_width}}"
         print(header)
         print("-" * len(header))
     return _print_items(
         args.format,
         degrees,
-        lambda n: {"n": n, "dims": table.dims[n], "total": table.totals[n]},
+        lambda n: {"n": n, "dims": dims[n], "total": sum(dims[n])},
         text,
-        lambda n: f"\\dim J_{{{n}}} & {' & '.join(map(str, table.dims[n]))} & {table.totals[n]} \\\\",
+        lambda n: f"\\dim J_{{{n}}} & {' & '.join(map(str, dims[n]))} & {sum(dims[n])} \\\\",
     )
 
 

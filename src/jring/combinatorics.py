@@ -33,6 +33,13 @@ def is_composition(beta: Composition) -> bool:
     return beta[-1] >= 1 and min(beta) >= 0
 
 
+def in_b0(beta: Composition) -> bool:
+    """True iff beta lies in B(0), i.e. indexes a kernel basis element."""
+    if beta == EMPTY or beta == (1,):
+        return True
+    return len(beta) >= 2 and beta[0] == 0 and beta[-1] >= 1
+
+
 def weight(beta: Composition) -> int:
     """Graded weight sum(i * beta_i); the degree of the polynomial g_beta."""
     return sum(i * b for i, b in enumerate(beta, start=1))
@@ -48,16 +55,6 @@ def to_partition(beta: Composition) -> Partition:
     for j in range(len(beta), 0, -1):
         parts.extend([j] * beta[j - 1])
     return tuple(parts)
-
-
-def from_partition(lam: Partition) -> Composition:
-    """Inverse of to_partition: multiplicity vector of parts 1..max(lam)."""
-    if not lam:
-        return EMPTY
-    beta = [0] * lam[0]
-    for part in lam:
-        beta[part - 1] += 1
-    return tuple(beta)
 
 
 def conjugate(lam: Partition) -> Partition:

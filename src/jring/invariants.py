@@ -17,6 +17,7 @@ from .combinatorics import (
     Composition,
     Partition,
     enumerate_compositions,
+    in_b0,
     is_composition,
     weight,
 )
@@ -48,13 +49,6 @@ def realize(comb: JCombination) -> XPolynomial:
         for lam, v in g_poly(beta).terms.items():
             out[lam] = out.get(lam, 0) + c * v
     return XPolynomial._canonical(out)
-
-
-def _in_b0(beta: Composition) -> bool:
-    # True iff beta lies in B(0), i.e. indexes a kernel basis element
-    if beta == EMPTY or beta == (1,):
-        return True
-    return len(beta) >= 2 and beta[0] == 0 and beta[-1] >= 1
 
 
 def structure_constants(
@@ -140,13 +134,13 @@ def structure_constants(
 
 def j_product(c1: JCombination, c2: JCombination) -> JCombination:
     """Bilinear product in the abstract ring presented on B(0) labels."""
-    if not all(map(_in_b0, [*c1, *c2])):
+    if not all(map(in_b0, [*c1, *c2])):
         raise ValueError("j_product operands must be supported on B(0)")
     out: JCombination = {}
     for b1, a1 in c1.items():
         for b2, a2 in c2.items():
             for b3, n in structure_constants(b1, b2).items():
-                if not _in_b0(b3):
+                if not in_b0(b3):
                     raise RuntimeError(
                         f"product of B(0) labels left B(0) at {b3}"
                     )
@@ -244,7 +238,7 @@ def lift_tilde(beta: Composition, max_degree: int) -> XPolynomial:
     d(F) = F up to degree N - 1.
     """
     beta = tuple(beta)
-    if not _in_b0(beta) or beta == EMPTY:
+    if not in_b0(beta) or beta == EMPTY:
         raise ValueError("lift_tilde needs a nonempty B(0) label")
     n = weight(beta)
     if max_degree < n:

@@ -120,23 +120,24 @@ def _times_elementary(
 
 
 def expand_elementary_product(
-    beta: Composition, ell: int, table: Optional[RaiseTable] = None
+    beta: Composition, table: Optional[RaiseTable] = None
 ) -> dict[Partition, int]:
-    """Coefficients of e^beta over the m_lambda basis in ell variables.
+    """Coefficients of e^beta over the m_lambda basis in l = len(beta) variables.
 
     Multiplies by e_1, ..., e_{l-1} in turn in partition space.  The
     e_l^{beta_l} factor comes first, as the start state m_{(beta_l^l)}:
     multiplying by e_l^s adds s to every part, and the Pieri coefficients
     depend only on the multiplicities of equal parts, which that shift
-    keeps.  So every lambda that appears has exactly ell parts.  The terms
+    keeps.  So every lambda that appears has exactly l parts.  The terms
     of each m_mu * e_j are read from the raise table, which is filled as
-    needed; a table may be shared by the labels of one (n, ell) slice, and
+    needed; a table may be shared by the labels of one (n, l) slice, and
     without one a fresh table is used.
     """
-    if not is_composition(beta) or len(beta) != ell or ell < 1:
-        raise ValueError(f"{beta} is not a valid index of length {ell}")
+    if not is_composition(beta) or not beta:
+        raise ValueError(f"{beta} is not a valid nonempty index")
     if table is None:
         table = {}
+    ell = len(beta)
     state: dict[Partition, int] = {(beta[-1],) * ell: 1}
     for j in range(1, ell):
         for _ in range(beta[j - 1]):

@@ -25,7 +25,7 @@ def build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
     # one raise table for the whole slice, dropped with the build
     table: RaiseTable = {}
     expansions = {
-        beta: expand_elementary_product(beta, ell, table)
+        beta: expand_elementary_product(beta, table)
         for beta in compositions
     }
     pos = {lam: i for i, lam in enumerate(partitions)}

@@ -18,7 +18,6 @@ from jring.analysis import (
     nullspace,
     poincare_series,
     poincare_series_bivariate,
-    relation_in_span,
     rref,
 )
 from jring.combinatorics import (
@@ -30,7 +29,7 @@ from jring.combinatorics import (
 from jring.invariants import g_poly, realize
 from jring.xring import XPolynomial, derivation_d
 
-from appendix_data import RELATION_A, RELATION_B
+from appendix_data import RELATION_A
 import candidate_oracle
 import monomial_oracle
 import rational_rref_oracle
@@ -253,7 +252,8 @@ def test_dimension_table_eliminates_nothing(monkeypatch):
 
     monkeypatch.setattr(analysis, "rref", refuse)
     monkeypatch.setattr(analysis, "rank", refuse)
-    assert dimension_table(12).totals == {n: poincare_series(12)[n] for n in range(1, 13)}
+    totals = {n: sum(row) for n, row in dimension_table(12).items()}
+    assert totals == {n: poincare_series(12)[n] for n in range(1, 13)}
 
 
 def test_dimension_table_refuses_a_column_that_breaks_the_certificate(monkeypatch):
@@ -265,11 +265,11 @@ def test_dimension_table_refuses_a_column_that_breaks_the_certificate(monkeypatc
 
 
 def test_single_length_series_matches_cell_dimensions():
-    table = dimension_table(12)
+    dims = dimension_table(12)
     for ell in range(1, 8):
         coeffs = poincare_series(12, ell)
         for n in range(1, 13):
-            assert coeffs[n] == (table.dims[n][ell - 1] if ell <= n else 0)
+            assert coeffs[n] == (dims[n][ell - 1] if ell <= n else 0)
 
 
 def test_bivariate_series():
@@ -456,9 +456,9 @@ def test_relation_in_span():
     relations = find_relations(12, generator_candidates(12))
     changed = dict(RELATION_A)
     changed[((0, 3), (0, 0, 2))] = 1
-    assert not relation_in_span(changed, relations)
+    assert not in_span(changed, relations)
     stranger = ((1,),) * 12
     assert all(stranger not in r for r in relations)
-    assert not relation_in_span({**RELATION_A, stranger: 1}, relations)
+    assert not in_span({**RELATION_A, stranger: 1}, relations)
     scaled = {m: -3 * c for m, c in RELATION_A.items()}
-    assert relation_in_span({**scaled, stranger: 0}, relations)
+    assert in_span({**scaled, stranger: 0}, relations)

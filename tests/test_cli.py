@@ -169,6 +169,34 @@ def test_dims_command_json(capsys):
     assert data[5] == {"n": 6, "dims": [0, 1, 1, 1, 0, 1], "total": 4}
 
 
+def test_dims_text_cells_stay_apart_past_three_digits(capsys, monkeypatch):
+    # the first 4-digit cell is 1043, at n = 44; the stub has larger cells
+    # and a 6-digit total at n = 3
+    dims = {1: [1], 2: [0, 1043], 3: [0, 1, 99999]}
+    monkeypatch.setattr(analysis, "dimension_table", lambda n_max: dims)
+    code, out = run(capsys, "dims", "--max-n", "3")
+    assert code == 0
+    lines = out.splitlines()
+    for row in lines[2:]:
+        n, cells, total = row.split("|")
+        n = int(n)
+        assert [int(c) for c in cells.split()] == dims[n] + [0] * (3 - n)
+        assert int(total) == sum(dims[n])
+    # the columns line up under the header
+    assert len({len(line) for line in lines}) == 1
+
+
+def test_chern_latex_braces_scripts_of_two_digits(capsys):
+    # LaTeX takes one character as a sub- or superscript unless it is braced
+    code, out = run(capsys, "--format", "latex", "chern", "--ell", "2", "--max-degree", "20")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("e_2^{10} &: x_{10}^2 - ")
+    code, out = run(capsys, "--format", "latex", "chern", "--ell", "10", "--max-degree", "11")
+    assert out == "e_{10} &: x_1^{10} \\\\\n"
+    code, out = run(capsys, "chern", "--ell", "10", "--max-degree", "11")
+    assert out == "e10: x1^10\n"
+
+
 def test_generators_command(capsys):
     code, out = run(capsys, "generators", "--max-n", "6", "--format", "json")
     assert code == 0

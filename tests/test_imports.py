@@ -1,8 +1,9 @@
-"""No module in src/jring imports a name it never uses.
+"""No module in src/jring or tests imports a name it never uses.
 
 A small stand-in for an unused-import lint: each module is parsed with ast,
 and every name an import binds must occur somewhere as a Name node.
-__init__.py is skipped, since its imports are the package's re-exports.
+src/jring/__init__.py is skipped, since its imports are the package's
+re-exports.
 """
 
 import ast
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "jring"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "jring"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -35,4 +37,9 @@ def test_the_check_finds_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text()) == []

@@ -20,7 +20,7 @@ from jring.invariants import (
     realize,
     structure_constants,
 )
-from jring.xring import XPolynomial, derivation_d, project, truncate
+from jring.xring import XPolynomial, project
 
 from appendix_data import ALL_BASIS_TABLES
 from pair_table_oracle import pair_table_constants
@@ -69,11 +69,6 @@ def test_g_poly_unit_and_examples():
 @pytest.mark.parametrize("beta", sorted(ALL_BASIS_TABLES), ids=str)
 def test_g_poly_matches_published_tables(beta):
     assert dict(g_poly(beta).terms) == ALL_BASIS_TABLES[beta]
-
-
-def test_g_poly_is_invariant_on_b0():
-    for beta in b0_labels(10):
-        assert derivation_d(g_poly(beta)).is_zero()
 
 
 @st.composite
@@ -227,15 +222,6 @@ def test_closed_form_three_row_products():
                 )
 
 
-def test_multiplying_by_degree_one():
-    # g_(1) g_(1) = g_(0,1); in general g_(1) g_beta decrements the last
-    # entry of beta and appends a 1
-    assert j_product({(1,): 1}, {(1,): 1}) == {(0, 1): 1}
-    for beta in b0_labels(9):
-        expected = beta[:-1] + (beta[-1] - 1, 1)
-        assert j_product({(1,): 1}, {beta: 1}) == {expected: 1}
-
-
 # ---------------------------------------------------------------------------
 # Chern character series
 
@@ -285,25 +271,11 @@ def test_lift_tilde_examples():
     assert lift_tilde((0, 1), 5).max_degree() == 5
 
 
-def test_lift_laws():
-    # d(F) = F truncated one degree lower, for both constructions
-    N = 10
-    for beta in b0_labels(6):
-        f = g_poly(beta)
-        for F in (lift_tilde(beta, N), lift_exp(f, N)):
-            assert project(F, weight(beta)) == f
-            assert derivation_d(F) == truncate(F, N - 1)
-
-
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.sampled_from(b0_labels(12)), st.integers(0, 4))
 def test_lift_laws_on_drawn_labels(beta, extra):
-    n = weight(beta)
-    N = n + extra
-    f = g_poly(beta)
-    for F in (lift_tilde(beta, N), lift_exp(f, N)):
-        assert project(F, n) == f
-        assert derivation_d(F) == truncate(F, N - 1)
+    # beyond criterion 8, which lifts the labels of weight <= 6 to degree 10
+    assert checks.lift_law(beta, weight(beta) + extra)
 
 
 def test_lift_exp_of_x1_squared():
@@ -332,17 +304,3 @@ def test_lift_exp_rejects_non_invariants():
         lift_exp(XPolynomial.variable(2), 5)
     with pytest.raises(ValueError):
         lift_exp(XPolynomial.zero(), 5)
-
-
-def test_closing_identity_numeric_chern_equals_lifted_sum():
-    # ch(k) = sum over length-l B(0) labels of e^beta(k) * lift_tilde(g_beta)
-    N = 8
-    for ks in ((2, -1), (3, -1, -1)):
-        ell = len(ks)
-        total = XPolynomial.zero()
-        for n in range(ell, N + 1):
-            for beta in enumerate_compositions(n, ell, first=0):
-                c = e_power_value(beta, ks)
-                if c:
-                    total = total + truncate(lift_tilde(beta, N).scale(c), N)
-        assert total == ch_numeric(ks, N)
