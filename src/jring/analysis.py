@@ -190,10 +190,11 @@ def dimension_table(n_max: int) -> dict[int, list[int]]:
     lexicographically larger partitions, which the codomain lists first.
     The (n, l) monomials come from the previous degree's lists, through
     combinatorics.partitions_of_next_degree; the counting route counts the
-    labels separately, by combinatorics.count_compositions.
+    labels separately, by the recurrence of combinatorics.b0_counts.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
+    counts = combinatorics.b0_counts(n_max)
     dims: dict[int, list[int]] = {}
     # the partition lists of the previous degree at index ell, which are the
     # codomains of d; each degree's lists are built from the previous ones
@@ -208,7 +209,7 @@ def dimension_table(n_max: int) -> dict[int, list[int]]:
                 # an empty column fails the first test, so max never sees it
                 if column.get(i) != 1 or max(column) > i:
                     raise RuntimeError(f"d is not onto at (n={n}, ell={ell})")
-            by_count = combinatorics.count_compositions(n, ell)
+            by_count = counts[n][ell]
             by_rank = len(current[ell]) - len(codomain)
             if by_count != by_rank:
                 raise RuntimeError(

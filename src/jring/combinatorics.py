@@ -34,7 +34,12 @@ def is_composition(beta: Composition) -> bool:
 
 
 def in_b0(beta: Composition) -> bool:
-    """True iff beta lies in B(0), i.e. indexes a kernel basis element."""
+    """True iff the admissible label beta lies in B(0).
+
+    B(0) labels index the kernel basis elements.  beta must pass
+    is_composition, which this test does not repeat: in_b0((0, -1, 1)) is
+    True.
+    """
     if beta == EMPTY or beta == (1,):
         return True
     return len(beta) >= 2 and beta[0] == 0 and beta[-1] >= 1
@@ -205,40 +210,27 @@ def enumerate_compositions(
     return [from_leading_partition(lam) for lam in lams]
 
 
-def count_compositions(n: int, ell: int) -> int:
-    """len(enumerate_compositions(n, ell, first=0)) for ell >= 1, counted.
+def b0_counts(n_max: int) -> list[list[int]]:
+    """|B_n^(l)(0)| at rows[n][l], for 0 <= l <= n <= n_max, counted.
 
-    For ell >= 2 this is the same search as that slice's branch, over
-    leading partitions with lam_1 = lam_2 and the same bounds, but it counts
-    the partitions instead of building them.  The count below a search
-    state depends only on (remaining, parts_left, top), top the largest next
-    part, so each state is counted once per call, and a state with two
-    parts left has one partition per next part.
+    For l >= 2, leading_partition maps B_n^(l)(0) onto the partitions of n
+    with exactly l parts and lam_1 = lam_2.  A label with lam_l = 1 drops
+    its last part, and any other lowers every part by 1; both keep
+    lam_1 = lam_2, and for l = 2 the first sends (1, 1) to (1), the one
+    label of B_1^(1)(0).  That bijection, the one behind
+    p(n, k) = p(n - 1, k - 1) + p(n - k, k), gives
+
+        rows[n][l] = rows[n - 1][l - 1] + rows[n - l][l]   (2 <= l <= n),
+
+    with rows[m][l] = 0 for m < l.  The entries with l <= 1 follow the
+    conventions of enumerate_compositions: rows[0][0] = rows[1][1] = 1, and
+    the others are 0.
     """
-    if ell == 1:
-        return int(n == 1)  # B_n^(1)(0) = {(1,)} exactly when n = 1
-    counted: dict[tuple[int, int, int], int] = {}
-
-    def count(remaining: int, parts_left: int, max_part: int) -> int:
-        # the number of partitions _search(remaining, parts_left, max_part)
-        # appends
-        if parts_left <= 1:
-            return 1
-        top = min(max_part, remaining - parts_left + 1)
-        low = -(-remaining // parts_left)
-        if parts_left == 2:
-            return top - low + 1
-        state = (remaining, parts_left, top)
-        total = counted.get(state)
-        if total is None:
-            total = sum(
-                count(remaining - p, parts_left - 1, p) for p in range(low, top + 1)
-            )
-            counted[state] = total
-        return total
-
-    low = max(1, -(-n // ell))
-    return sum(
-        count(n - 2 * second, ell - 2, second)
-        for second in range(low, (n - ell + 2) // 2 + 1)
-    )
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        row = [0, int(n == 1)]
+        for ell in range(2, n + 1):
+            lowered = rows[n - ell][ell] if 2 * ell <= n else 0
+            row.append(rows[n - 1][ell - 1] + lowered)
+        rows.append(row)
+    return rows

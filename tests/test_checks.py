@@ -52,6 +52,18 @@ def last_part_guard_dropped(mp):
     mp.setattr(combinatorics, "partitions_of_next_degree", unguarded)
 
 
+def b0_count_bumped(mp):
+    # the counting route alone: |B_6^(3)(0)| = 1, from (2, 2, 2)
+    counts = combinatorics.b0_counts
+
+    def bumped(n_max):
+        rows = counts(n_max)
+        rows[6][3] += 1
+        return rows
+
+    mp.setattr(combinatorics, "b0_counts", bumped)
+
+
 def series_shifted(mp):
     series = analysis.poincare_series
 
@@ -127,6 +139,7 @@ def delta_part_factor_dropped(mp):
 FAULTS = [
     ("dimension table: counting vs kernel rank", twos_unlowered),
     ("dimension table: counting vs kernel rank", last_part_guard_dropped),
+    ("dimension table: counting vs kernel rank", b0_count_bumped),
     ("Poincare series matches dimension totals", series_shifted),
     ("dimension table matches bivariate Poincare series row by row", bivariate_row_shifted),
     ("expansion times transition matrix is identity", matrix_entry_bumped),

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from jring.combinatorics import (
     EMPTY,
+    b0_counts,
     conjugate,
-    count_compositions,
     dominance_leq,
     enumerate_compositions,
     enumerate_partitions,
@@ -51,13 +51,21 @@ def test_is_composition_refuses_a_negative_entry_or_a_zero_last_entry():
         assert not is_composition(beta)
 
 
-def test_count_compositions_matches_the_enumeration():
+def test_b0_counts_match_the_enumeration():
     # the dims counting route, for every slice it counts through n = 30
-    for n in range(1, 31):
-        for ell in range(1, n + 1):
-            assert count_compositions(n, ell) == len(
-                enumerate_compositions(n, ell, first=0)
-            )
+    rows = b0_counts(30)
+    assert len(rows) == 31
+    for n, row in enumerate(rows):
+        assert row == [len(enumerate_compositions(n, ell, first=0)) for ell in range(n + 1)]
+
+
+def test_b0_counts_edge_rows():
+    assert b0_counts(0) == [[1]]
+    rows = b0_counts(12)
+    assert rows[1] == [0, 1]
+    # length 1: B_n^(1)(0) = {(1,)} exactly when n = 1; length 2: lam = (k, k)
+    assert [row[1] for row in rows[1:]] == [1] + [0] * 11
+    assert [row[2] for row in rows[2:]] == [1, 0] * 5 + [1]
 
 
 def test_first_slices_partition_the_index_set():

@@ -2,8 +2,6 @@
 
 A small stand-in for an unused-import lint: each module is parsed with ast,
 and every name an import binds must occur somewhere as a Name node.
-src/jring/__init__.py is skipped, since its imports are the package's
-re-exports.
 """
 
 import ast
@@ -13,7 +11,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "jring"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -203,6 +203,10 @@ def test_j_product_is_commutative_and_associative(triple):
 def test_j_product_rejects_labels_outside_kernel_support():
     with pytest.raises(ValueError):
         j_product({(2, 1): 1}, {(1,): 1})
+    # in_b0 passes this inadmissible label, so j_product refuses it later
+    for c1, c2 in [({(0, -1, 2): 1}, {(0, 1): 1}), ({(0, 1): 1}, {(0, -1, 2): 1})]:
+        with pytest.raises(ValueError):
+            j_product(c1, c2)
 
 
 def test_closed_form_two_row_products():
@@ -269,6 +273,13 @@ def test_lift_tilde_examples():
     )
     # truncation degree bound is respected exactly
     assert lift_tilde((0, 1), 5).max_degree() == 5
+
+
+def test_lift_tilde_refuses_labels_outside_b0():
+    # (0, -1, 2) passes in_b0, which assumes an admissible label
+    for beta in [EMPTY, (2, 1), (0, -1, 2)]:
+        with pytest.raises(ValueError):
+            lift_tilde(beta, 6)
 
 
 @settings(max_examples=40, deadline=None, database=None)
