@@ -13,34 +13,46 @@ which parts of nu came from raising (Macdonald, Symmetric Functions and Hall
 Polynomials, I.6).  Raising the j largest parts gives the dominance-largest
 term, with coefficient 1.
 
-That Pieri rule solves each row of M in one step, from the dominance-smallest
-lambda upwards.  Let j be the number of parts equal to lambda_1 and mu be
-lambda with those j parts lowered by one; mu lies in slice (n - j, l) and
+A slice's rows are solved from the dominance-smallest lambda upwards, each
+row in one of three ways: as an e_l shift, as a Pieri step, or, in a stable
+slice, as a shared row.  The one partition with lambda_1 = 1 is (1^l), and
+m_{1^l} = e_l.
+
+An e_l shift.  In l variables e_l = k_1 ... k_l, so e_l m_mu = m_{mu + (1^l)}
+for every mu with at most l parts (Macdonald, I.2 and I.6).  If lambda has
+no part 1, mu = lambda - (1^l) lies in slice (n - l, l), and the row of
+lambda is the row of mu relabelled by e_l e^beta = e^{beta + u_l}, with no
+subtraction.
+
+A Pieri step.  If lambda ends in a part 1, let j be the number of parts
+equal to lambda_1 and mu be lambda with those j parts lowered by one; mu
+lies in slice (n - j, l) and
 
     m_lambda = e_j m_mu - sum_{nu != lambda} c_nu m_nu.
 
 The row of mu becomes a row of slice (n, l) by e_j e^beta = e^{beta + u_j},
 and every other nu is dominance-smaller than lambda in the same slice, so
-its row is already solved.  The one partition with lambda_1 = 1 is (1^l),
-and m_{1^l} = e_l.  A Pieri build therefore reads the rows of the earlier
-slices of its length from the memo, and transition_matrix fills those in
-increasing n first.  expand_elementary_product multiplies out e^beta with
-the same rule; the build does not need it.
+its row is already solved.  (The shift is the case j = l, which has no
+other nu.)  A build therefore reads the rows of the earlier slices of its
+length from the memo, and transition_matrix fills those in increasing n
+first.  expand_elementary_product multiplies out e^beta with the same
+rule; the build does not need it.
 
-A slice with 2l > n is stable: it holds the rows of slice (n - 1, l - 1)
-entry for entry.  Each lambda in it ends in a part 1, and m_lambda =
-e_l m_mu with mu = lambda - (1^l) of weight n - l < l, while kappa, lambda
-without its last part, has m_kappa = e_{l-1} m_mu in l - 1 variables.  A
-symmetric function of degree d has one e-expansion in any number >= d of
-variables (Macdonald, I.2), so m_mu = sum c_gamma e^gamma in both, and the
-two rows differ only in their labels, gamma + u_l against gamma + u_{l-1}.
-These lead with kappa + (1) and kappa, and kappa -> kappa + (1) maps the
-partitions of (n - 1, l - 1) onto those of (n, l) in order, so the k-th
-label of one slice stands for the k-th of the other.  When (n - 1, l - 1)
-is stored, a stable slice is built by appending the part 1 to its
-partitions and keeping its list of rows, with no Pieri step; an ascending
-sweep, which asks for (n - 1, l - 1) first, builds every stable slice so.
-Otherwise, as in a cold chain of one length, the Pieri steps run.
+A shared row.  A slice with 2l > n is stable: it holds the rows of slice
+(n - 1, l - 1) entry for entry.  Each lambda in it ends in a part 1, and
+m_lambda = e_l m_mu with mu = lambda - (1^l) of weight n - l < l, while
+kappa, lambda without its last part, has m_kappa = e_{l-1} m_mu in l - 1
+variables.  A symmetric function of degree d has one e-expansion in any
+number >= d of variables (Macdonald, I.2), so m_mu = sum c_gamma e^gamma
+in both, and the two rows differ only in their labels, gamma + u_l
+against gamma + u_{l-1}.  These lead with kappa + (1) and kappa, and
+kappa -> kappa + (1) maps the partitions of (n - 1, l - 1) onto those of
+(n, l) in order, so the k-th label of one slice stands for the k-th of the
+other.  When (n - 1, l - 1) is stored, a stable slice is built by
+appending the part 1 to its partitions and keeping its list of rows, with
+no Pieri step; an ascending sweep, which asks for (n - 1, l - 1) first,
+builds every stable slice so.  Otherwise, as in a cold chain of one
+length, the Pieri steps run.
 
 A slice is stored once, in index form: row i belongs to the i-th partition
 and maps k to the entry at the k-th composition, whose leading partition is
@@ -203,7 +215,7 @@ def _build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
     # Raising keeps lexicographic order, so each list increases
     shifts: dict[int, list[int]] = {}
     rows: list[Optional[dict[int, int]]] = [None] * len(partitions)
-    # one Pieri step per partition, from the dominance-smallest upwards
+    # one row per partition, from the dominance-smallest upwards
     for i in range(len(partitions) - 1, -1, -1):
         lam = partitions[i]
         top = lam[0]
@@ -211,8 +223,8 @@ def _build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
             # m_(1^l) = e_l, whose label (0, ..., 0, 1) leads with (1^l)
             rows[i] = {i: 1}
             continue
-        j = lam.count(top)
-        mu = (top - 1,) * j + lam[j:]
+        # an e_l shift when lambda has no part 1, else a Pieri step by e_j
+        j = ell if lam[-1] > 1 else lam.count(top)
         below = _memo[(n - j, ell)]
         shift = shifts.get(j)
         if shift is None:
@@ -220,8 +232,13 @@ def _build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
                 position[tuple([p + 1 for p in kappa[:j]]) + kappa[j:]]
                 for kappa in below.partitions
             ]
-        # mu is the partition the shift carries to lambda
+        # the row of lambda with its first j parts lowered, relabelled by u_j
         expr = {shift[k]: c for k, c in below.index_rows[bisect_left(shift, i)].items()}
+        if j == ell:
+            # e_l m_(lambda - (1^l)) = m_lambda: the shifted row alone
+            rows[i] = expr
+            continue
+        mu = (top - 1,) * j + lam[j:]
         for nu, c in _raise_terms(mu, j):
             if nu == lam:
                 if c != 1:

@@ -5,6 +5,11 @@ record is the exit code and the sha256 of stdout and of stderr.  Every base
 command runs in all three formats, with ``--format`` both before and after
 the subcommand.  tests/test_cli_golden.py compares each case with RECORDED.
 
+Before stderr is hashed, each of argparse's ``usage:`` blocks is joined onto
+one line with its whitespace collapsed, because argparse wraps that block
+by Python version and terminal width; every other byte is hashed as
+written.
+
 RECORDED is written only by this command, from the repository root:
 
     PYTHONPATH=src python3 tests/cli_golden.py --record
@@ -20,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -79,8 +85,17 @@ CASES = [
 ]
 
 
+# a "usage:" line and the indented lines that continue it
+USAGE_BLOCK = re.compile(r"^usage: .*(?:\n[ \t]+\S.*)*", re.MULTILINE)
+
+
+def unwrap_usage(text: str) -> str:
+    """text with each argparse usage block on one line, whitespace collapsed."""
+    return USAGE_BLOCK.sub(lambda block: " ".join(block.group().split()), text)
+
+
 def run_case(argv: list[str]) -> tuple[int, str, str]:
-    """(exit code, sha256 of stdout, sha256 of stderr) of one in-process run."""
+    """(exit code, sha256 of stdout, sha256 of unwrapped stderr) of one run."""
     from jring.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -89,7 +104,10 @@ def run_case(argv: list[str]) -> tuple[int, str, str]:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, *(hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))
+    return code, *(
+        hashlib.sha256(text.encode()).hexdigest()
+        for text in (out.getvalue(), unwrap_usage(err.getvalue()))
+    )
 
 
 # --- recorded; rewritten by --record ---------------------------------------
@@ -322,18 +340,18 @@ RECORDED: dict[str, tuple[int, str, str]] = {
     'dims --max-n 3 --max-n 5 --format json': (0, '883dac419683c5de775e445ea8d0182da22dbd19a8234596560bfaae4f11b79d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     '--format latex dims --max-n 3 --max-n 5': (0, 'ee5f7d2d4b52080299b16b23c19e7530247fb40d065e5ce00e30b88c34740771', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'dims --max-n 3 --max-n 5 --format latex': (0, 'ee5f7d2d4b52080299b16b23c19e7530247fb40d065e5ce00e30b88c34740771', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    '--format text chern --k -1,2 --max-degree 4': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'd417e84c5d3b203882e219a8b910de3ab01961b425df8400a74b733173e4bbd8'),
-    'chern --k -1,2 --max-degree 4 --format text': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'd417e84c5d3b203882e219a8b910de3ab01961b425df8400a74b733173e4bbd8'),
-    '--format json chern --k -1,2 --max-degree 4': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'd417e84c5d3b203882e219a8b910de3ab01961b425df8400a74b733173e4bbd8'),
-    'chern --k -1,2 --max-degree 4 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'd417e84c5d3b203882e219a8b910de3ab01961b425df8400a74b733173e4bbd8'),
-    '--format latex chern --k -1,2 --max-degree 4': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'd417e84c5d3b203882e219a8b910de3ab01961b425df8400a74b733173e4bbd8'),
-    'chern --k -1,2 --max-degree 4 --format latex': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'd417e84c5d3b203882e219a8b910de3ab01961b425df8400a74b733173e4bbd8'),
+    '--format text chern --k -1,2 --max-degree 4': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'da2349d1b8bddd39dd95afb7085534bb60bab3430fd3cadaff96b3916adbce5e'),
+    'chern --k -1,2 --max-degree 4 --format text': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'da2349d1b8bddd39dd95afb7085534bb60bab3430fd3cadaff96b3916adbce5e'),
+    '--format json chern --k -1,2 --max-degree 4': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'da2349d1b8bddd39dd95afb7085534bb60bab3430fd3cadaff96b3916adbce5e'),
+    'chern --k -1,2 --max-degree 4 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'da2349d1b8bddd39dd95afb7085534bb60bab3430fd3cadaff96b3916adbce5e'),
+    '--format latex chern --k -1,2 --max-degree 4': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'da2349d1b8bddd39dd95afb7085534bb60bab3430fd3cadaff96b3916adbce5e'),
+    'chern --k -1,2 --max-degree 4 --format latex': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'da2349d1b8bddd39dd95afb7085534bb60bab3430fd3cadaff96b3916adbce5e'),
     '--format text poly -- 0,2': (0, '3faf332aa735dc369e0d6e50156eb55b62442921a9324f049acce9798f514c92', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'poly -- 0,2 --format text': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '82906502390ba82b8aac0cd20b3f1ec293f093ed59b8fd100da9ec2d93d5ce25'),
+    'poly -- 0,2 --format text': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '52df9b39b0266ebcd997d6959d952f2b53b7de7705873d7b591cd6b38bac634e'),
     '--format json poly -- 0,2': (0, 'acc64c3e84c14414da5b240956d95899443264ac889c68324265bed013e76faf', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'poly -- 0,2 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '76d63df69bc37fa02d2213597c17186bbda16b6e5d1c8dcd600bb09b94cd3581'),
+    'poly -- 0,2 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'a91024b49384b0564a1bd7537c364cd624d52a3f49a740687177de421e56c3e9'),
     '--format latex poly -- 0,2': (0, 'a07832cb4d76eb813fbcca54838c8aefb5b67961fe5bb31108fd0460148713f9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'poly -- 0,2 --format latex': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '22488432f6334e87adb4f8aed725ee86db15ca48e2c27683102466a45c588147'),
+    'poly -- 0,2 --format latex': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '7d57d1e40286c0bbaf3294b1473af2f390f469e08e446c42d17fb2fafed552c9'),
     '--format text lift --max-degree 6 0,1': (0, '5bdbd8789b9adffc660beff5dcca06a19a68e7b8f4292a850e18a799575620df', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'lift --max-degree 6 0,1 --format text': (0, '5bdbd8789b9adffc660beff5dcca06a19a68e7b8f4292a850e18a799575620df', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     '--format json lift --max-degree 6 0,1': (0, '7abbb29ee5bf207acdbd8cdc67a436c61e475762c3b6e1a966d450787de7a82c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),

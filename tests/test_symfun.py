@@ -156,7 +156,7 @@ def _cold(n, ell):
 
 
 def test_stable_slice_holds_the_rows_of_the_slice_below():
-    # both slices built cold, so both go through Pieri steps: for 2l > n,
+    # both slices built cold, so neither shares its rows: for 2l > n,
     # m_(kappa + (1)) in l variables has the e-expansion of m_kappa in l - 1
     stable = [(n, ell) for n in range(2, 25) for ell in range(n // 2 + 1, n + 1)]
     assert len(stable) == 155
@@ -177,6 +177,53 @@ def test_ascending_sweep_shares_the_rows_of_stable_slices(monkeypatch):
             if ell > 1:
                 below = transition_matrix(n - 1, ell - 1)
                 assert (tm.index_rows is below.index_rows) == (2 * ell > n)
+
+
+def test_shift_row_is_the_row_of_lambda_minus_the_ones(monkeypatch):
+    # an ascending sweep: for lambda_l >= 2, m_lambda = e_l m_mu in l
+    # variables with mu = lambda - (1^l), so the row of lambda is the row of
+    # mu in slice (n - l, l) with each label beta raised to beta + u_l
+    monkeypatch.setattr(symfun, "_memo", {})
+    shifted = 0
+    for n in range(1, 21):
+        for ell in range(1, n + 1):
+            tm = transition_matrix(n, ell)
+            if 2 * ell > n:
+                continue
+            below = transition_matrix(n - ell, ell)
+            for lam, row in zip(tm.partitions, tm.index_rows):
+                if lam[-1] < 2:
+                    continue
+                mu_row = below.index_rows[below.partitions.index(tuple(p - 1 for p in lam))]
+                assert {tm.compositions[k]: c for k, c in row.items()} == {
+                    below.compositions[k][:-1] + (below.compositions[k][-1] + 1,): c
+                    for k, c in mu_row.items()
+                }
+                shifted += 1
+    assert shifted == 626
+
+
+def test_pieri_step_runs_once_per_row_that_ends_in_a_part_1(monkeypatch):
+    # an ascending sweep: each lambda != (1^l) that ends in a part 1 takes
+    # one _raise_terms call, except in a stable slice that shares its rows
+    raise_terms = symfun._raise_terms
+    stepped = []
+
+    def counted(mu, j):
+        stepped.append(tuple(p + 1 for p in mu[:j]) + mu[j:])
+        return raise_terms(mu, j)
+
+    monkeypatch.setattr(symfun, "_memo", {})
+    monkeypatch.setattr(symfun, "_raise_terms", counted)
+    want = []
+    for n in range(1, 17):
+        for ell in range(1, n + 1):
+            tm = transition_matrix(n, ell)
+            if ell > 1 and tm.index_rows is transition_matrix(n - 1, ell - 1).index_rows:
+                continue
+            want += [lam for lam in tm.partitions if lam[0] > 1 and lam[-1] == 1]
+    assert sorted(stepped) == sorted(want)
+    assert len(stepped) == 444
 
 
 @st.composite
@@ -253,11 +300,19 @@ def test_build_checks_the_pieri_step(monkeypatch):
         top = (sum(mu) + j - len(mu) + 1,) + (1,) * (len(mu) - 1)
         return terms + [(top, 1)]
 
-    for patched, message in ((wrong_lead, "no unit term"), (above, "not triangular")):
+    # in the chain of (7, 3), wrong_lead fails at (2, 1, 1) in slice (4, 3),
+    # and above at the Pieri step of (2, 2, 1) in slice (5, 3), whose planted
+    # term (3, 1, 1) is not solved yet.  (The chain of (6, 2) would not do:
+    # its only Pieri steps are at the rows (m - 1, 1), where the planted
+    # term is lambda itself)
+    for patched, message in (
+        (wrong_lead, r"no unit term at \(2, 1, 1\)"),
+        (above, r"not triangular at \(3, 1, 1\)"),
+    ):
         monkeypatch.setattr(symfun, "_memo", {})
         monkeypatch.setattr(symfun, "_raise_terms", patched)
         with pytest.raises(RuntimeError, match=message):
-            transition_matrix(6, 2)
+            transition_matrix(7, 3)
 
 
 def test_cold_chain_needs_no_recursion(monkeypatch):
