@@ -92,11 +92,6 @@ def rref(rows: Sequence[Mapping]) -> tuple[list[dict], list]:
     return [by_pivot[pc] for pc in pivots], pivots
 
 
-def rank(rows: Sequence[Mapping]) -> int:
-    """Rank over Q of sparse integer rows."""
-    return len(rref(rows)[1])
-
-
 def nullspace(rows: Sequence[Mapping], ncols: int) -> list[SparseRow]:
     """Integer basis of {v : A v = 0}, one primitive vector per free column.
 
@@ -122,14 +117,6 @@ def nullspace(rows: Sequence[Mapping], ncols: int) -> list[SparseRow]:
             v[pc] = -x * scale // piv
         basis.append(_primitive(v))
     return basis
-
-
-def in_span(vector: Mapping, basis: Sequence[Mapping]) -> bool:
-    """True iff the sparse vector is a rational combination of the basis rows.
-
-    That is, iff appending it to the rows leaves the rank unchanged.
-    """
-    return rank(list(basis) + [vector]) == rank(basis)
 
 
 def _kernel(columns: Sequence[Mapping]) -> list[SparseRow]:
@@ -379,11 +366,6 @@ def _monomial_products(
         return comb
 
     return [product(mono) for mono in monomials]
-
-
-def evaluate_monomial(monomial: Monomial) -> invariants.JCombination:
-    """Fold the abstract product over the factors of a generator monomial."""
-    return _monomial_products([monomial])[0]
 
 
 def find_relations(

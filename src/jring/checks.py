@@ -5,6 +5,8 @@ Each identity is written once, over one (n, l) slice or one weight bound;
 through their modules, so a wrapped or patched function is the one checked.
 """
 
+import math
+
 from . import analysis, combinatorics, invariants, symfun, xring
 from .combinatorics import Composition
 
@@ -132,8 +134,76 @@ def lift_laws(max_weight: int) -> bool:
     return all(lift_law(b, combinatorics.weight(b) + 3) for b in b0_labels(max_weight))
 
 
+def closed_products(m: int) -> bool:
+    """The closed product formulas and the degree-one rule match j_product.
+
+    g_(0,a) g_(0,b) and g_(0,a) g_(0,b,c) for a, b, c <= m, and
+    g_(1) g_beta = g_(beta_1, ..., beta_l - 1, 1) for every B(0) label beta
+    up to weight 2m.
+    """
+    indices = range(1, m + 1)
+    rests = [(b,) for b in indices] + [(b, c) for b in indices for c in indices]
+    closed = all(
+        invariants.product_closed_form(a, *rest)
+        == invariants.j_product({(0, a): 1}, {(0, *rest): 1})
+        for a in indices
+        for rest in rests
+    )
+    degree_one = all(
+        invariants.j_product({(1,): 1}, {beta: 1}) == {beta[:-1] + (beta[-1] - 1, 1): 1}
+        for beta in b0_labels(2 * m)
+    )
+    return closed and degree_one
+
+
+def closing_identity(max_degree: int) -> bool:
+    """The numeric Chern series is the lifted basis sum, to degree N = max_degree.
+
+    For k = (2, -1) and (3, -1, -1), the sum of e^beta(k) lift_tilde(beta, N)
+    over the B(0) labels beta of length len(k) is ch_numeric(k, N).
+    """
+    for ks in ((2, -1), (3, -1, -1)):
+        lifts = (
+            invariants.lift_tilde(beta, max_degree).scale(invariants.e_power_value(beta, ks))
+            for n in range(len(ks), max_degree + 1)
+            for beta in combinatorics.enumerate_compositions(n, len(ks), first=0)
+        )
+        if sum(lifts, xring.XPolynomial()) != invariants.ch_numeric(ks, max_degree):
+            return False
+    return True
+
+
+def relation_vanishes(rel: analysis.Relation) -> bool:
+    """The relation holds in Q[x], with no structure constant on the way.
+
+    Each monomial is multiplied out as a product of basis polynomials, and
+    the weighted sum of the products is 0.
+    """
+    products = (
+        math.prod(map(invariants.g_poly, mono), start=xring.XPolynomial.one()).scale(c)
+        for mono, c in rel.items()
+    )
+    return sum(products, xring.XPolynomial()).is_zero()
+
+
+def relations_vanish(d: int) -> bool:
+    """Every relation among the generator monomials of degree d vanishes.
+
+    There are monomials - dim J_d of them, which says that the candidates
+    span J_d; dim J_d is the number of B(0) labels of weight d.
+    """
+    gens = analysis.generator_candidates(d)
+    relations = analysis.find_relations(d, gens)
+    monomials = analysis._monomials_of_weight(gens, d)
+    dim = sum(len(combinatorics.enumerate_compositions(d, ell, first=0)) for ell in range(d + 1))
+    return len(relations) == len(monomials) - dim and all(map(relation_vanishes, relations))
+
+
 def run(max_n: int) -> list[tuple[str, bool]]:
-    """Every check up to weight max_n (products and lifts up to max_n // 2)."""
+    """Every check up to weight max_n.
+
+    Products and lifts reach weight max_n // 2, closed products index max_n // 4.
+    """
     slices = [(n, ell) for n in range(1, max_n + 1) for ell in range(1, n + 1)]
     results = dimension_checks(max_n)
     for name, check in (
@@ -146,4 +216,10 @@ def run(max_n: int) -> list[tuple[str, bool]]:
     return results + [
         ("structure constants realize polynomial products", products_realize(max_n // 2)),
         ("lifts project to g_beta and satisfy d F = F", lift_laws(max_n // 2)),
+        ("closed product formulas match structure constants", closed_products(max_n // 4)),
+        ("closing identity: numeric Chern series is lifted basis sum", closing_identity(max_n)),
+        (
+            "relations vanish in Q[x] and number monomials minus dim J_d",
+            all(relations_vanish(d) for d in range(1, max_n + 1)),
+        ),
     ]

@@ -50,42 +50,11 @@ def weight(beta: Composition) -> int:
     return sum(i * b for i, b in enumerate(beta, start=1))
 
 
-def to_partition(beta: Composition) -> Partition:
-    """The partition with beta_j copies of the part j, largest parts first.
-
-    Bijection from the exponent vectors of weight n and length l onto the
-    partitions of n with exactly l parts (l = len of result = sum(beta)).
-    """
-    parts: list[int] = []
-    for j in range(len(beta), 0, -1):
-        parts.extend([j] * beta[j - 1])
-    return tuple(parts)
-
-
-def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Young diagram: lam'_j = #{i : lam_i >= j}."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
-
-
-def dominance_leq(lam: Partition, mu: Partition) -> bool:
-    """Natural (dominance) partial order on partitions of equal weight."""
-    if sum(lam) != sum(mu):
-        raise ValueError("dominance is only defined for equal weights")
-    total_l = total_m = 0
-    for k in range(max(len(lam), len(mu))):
-        total_l += lam[k] if k < len(lam) else 0
-        total_m += mu[k] if k < len(mu) else 0
-        if total_l > total_m:
-            return False
-    return True
-
-
 def leading_partition(beta: Composition) -> Partition:
-    """Conjugate of to_partition(beta): index of the leading monomial of g_beta.
+    """The index of the leading monomial of g_beta.
 
-    Its parts are the nonzero suffix sums lam'_j = beta_j + ... + beta_l.
+    Its parts are the nonzero suffix sums lam_j = beta_j + ... + beta_l: the
+    conjugate of the partition with beta_j copies of the part j.
     """
     parts = list(accumulate(reversed(beta)))
     parts.reverse()

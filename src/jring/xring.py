@@ -12,7 +12,7 @@ denominators.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .combinatorics import Partition
 
@@ -61,20 +61,8 @@ class XPolynomial:
         return p
 
     @classmethod
-    def zero(cls) -> "XPolynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "XPolynomial":
         return cls({(): 1})
-
-    @classmethod
-    def variable(cls, i: int) -> "XPolynomial":
-        return cls({(i,): 1})
-
-    @classmethod
-    def monomial(cls, lam: Iterable[int], coeff: Coeff = 1) -> "XPolynomial":
-        return cls({tuple(lam): coeff})
 
     # -- ring structure ----------------------------------------------------
 
@@ -113,12 +101,6 @@ class XPolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def coefficient(self, lam: Iterable[int]) -> Coeff:
-        return self.terms.get(tuple(sorted(lam, reverse=True)), 0)
 
     def degrees(self) -> set[int]:
         return {sum(lam) for lam in self.terms}

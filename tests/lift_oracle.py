@@ -33,7 +33,7 @@ def derivation_delta(p: XPolynomial) -> XPolynomial:
 def lift_exp(f: XPolynomial, max_degree: int) -> XPolynomial:
     """exp(delta / l) on each length-l component of f, summed term by term."""
     n = f.max_degree()
-    out = XPolynomial.zero()
+    out = XPolynomial()
     for ell in {len(lam) for lam in f.terms}:
         term = XPolynomial({lam: c for lam, c in f.terms.items() if len(lam) == ell})
         for i in range(0, max_degree - n + 1):

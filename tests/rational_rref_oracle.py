@@ -9,6 +9,7 @@ primitive integer rows, must equal the integer routine's rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 Row = list[Fraction]
 
@@ -73,3 +74,13 @@ def in_span(vector: Row, basis: list[Row]) -> bool:
             f = v[pc]
             v = [a - f * b for a, b in zip(v, row)]
     return all(x == 0 for x in v)
+
+
+def sparse_in_span(vector: Mapping, basis: Sequence[Mapping]) -> bool:
+    """in_span for sparse {column: entry} rows with any orderable column keys."""
+    columns = sorted({c for row in (vector, *basis) for c in row})
+
+    def dense(row: Mapping) -> Row:
+        return [Fraction(row.get(c, 0)) for c in columns]
+
+    return in_span(dense(vector), [dense(row) for row in basis])

@@ -12,26 +12,13 @@ from fractions import Fraction
 from jring import checks
 from jring.analysis import (
     dimension_table,
-    evaluate_monomial,
     find_relations,
     generator_candidates,
-    in_span,
     poincare_series,
     poincare_series_bivariate,
 )
-from jring.combinatorics import enumerate_compositions
-from jring.invariants import (
-    ch_numeric,
-    chern_coefficients,
-    e_power_value,
-    g_poly,
-    j_product,
-    lift_exp,
-    lift_tilde,
-    product_closed_form,
-    realize,
-)
-from jring.xring import XPolynomial, truncate
+from jring.invariants import chern_coefficients, g_poly, lift_exp, lift_tilde
+from jring.xring import XPolynomial
 
 from appendix_data import (
     ALL_BASIS_TABLES,
@@ -41,6 +28,7 @@ from appendix_data import (
     RELATION_B,
     TOTAL_SERIES_24,
 )
+from rational_rref_oracle import sparse_in_span
 
 
 def report(num: int, name: str, ok: bool) -> None:
@@ -84,24 +72,8 @@ def test_criterion_04_products_realize():
 
 
 def test_criterion_05_closed_product_formulas():
-    ok = all(
-        product_closed_form(a, b) == j_product({(0, a): 1}, {(0, b): 1})
-        for a in range(1, 6)
-        for b in range(1, 6)
-    )
-    ok = ok and all(
-        product_closed_form(a, b, c)
-        == j_product({(0, a): 1}, {(0, b, c): 1})
-        for a in range(1, 6)
-        for b in range(1, 6)
-        for c in range(1, 6)
-    )
-    # g_(1) g_beta decrements the last entry and appends a 1
-    ok = ok and all(
-        j_product({(1,): 1}, {beta: 1})
-        == {beta[:-1] + (beta[-1] - 1, 1): 1}
-        for beta in checks.b0_labels(10)
-    )
+    # a, b, c <= 5, and g_(1) g_beta for every B(0) label up to weight 10
+    ok = checks.closed_products(5)
     report(5, "closed product formulas and degree-one rules", ok)
 
 
@@ -165,17 +137,8 @@ def test_criterion_09_chern_coefficient_tables():
 
 
 def test_criterion_10_closing_identity():
-    N = 8
-    ok = True
-    for ks in ((2, -1), (3, -1, -1)):
-        ell = len(ks)
-        total = XPolynomial.zero()
-        for n in range(ell, N + 1):
-            for beta in enumerate_compositions(n, ell, first=0):
-                c = e_power_value(beta, ks)
-                if c:
-                    total = total + truncate(lift_tilde(beta, N).scale(c), N)
-        ok = ok and total == ch_numeric(ks, N)
+    # k = (2, -1) and (3, -1, -1), to degree 8
+    ok = checks.closing_identity(8)
     report(10, "closing identity: numeric series vs lifted basis sum", ok)
 
 
@@ -186,10 +149,7 @@ def test_criterion_11_relations():
     )
     relations = find_relations(12, generator_candidates(12))
     ok = ok and len(relations) == 2
+    ok = ok and all(checks.relations_vanish(d) for d in range(4, 13))
     for rel in (RELATION_A, RELATION_B):
-        ok = ok and in_span(rel, relations)
-        total = XPolynomial.zero()
-        for mono, c in rel.items():
-            total = total + realize(evaluate_monomial(mono)).scale(c)
-        ok = ok and total.is_zero()
+        ok = ok and sparse_in_span(rel, relations) and checks.relation_vanishes(rel)
     report(11, "no relations below degree 12; both degree-12 relations", ok)

@@ -136,6 +136,49 @@ def delta_part_factor_dropped(mp):
     mp.setattr(invariants, "derivation_delta", delta)
 
 
+def closed_form_bumped(mp):
+    # g_(0,1) g_(0,1) = g_(0,0,0,1), coefficient 1
+    closed = invariants.product_closed_form
+
+    def bumped(a, b, c=None):
+        out = closed(a, b, c)
+        if (a, b, c) == (1, 1, None):
+            out[(0, 0, 0, 1)] += 1
+        return out
+
+    mp.setattr(invariants, "product_closed_form", bumped)
+
+
+def e_power_off_by_one(mp):
+    value = invariants.e_power_value
+    mp.setattr(invariants, "e_power_value", lambda b, ks: value(b, ks) + (b == (0, 2)))
+
+
+def generator_dropped(mp):
+    # without g_(0,3), the monomials of degree 6 no longer span J_6
+    candidates = analysis.generator_candidates
+    mp.setattr(
+        analysis, "generator_candidates", lambda n: [g for g in candidates(n) if g != (0, 3)]
+    )
+
+
+def relation_coefficient_flipped(mp):
+    find_relations = analysis.find_relations
+
+    def flipped(degree, generators):
+        relations = find_relations(degree, generators)
+        if relations:
+            mono = next(iter(relations[0]))
+            relations[0][mono] = -relations[0][mono]
+        return relations
+
+    mp.setattr(analysis, "find_relations", flipped)
+
+
+# the first relations are in degree 12
+relation_coefficient_flipped.max_n = 12
+
+
 FAULTS = [
     ("dimension table: counting vs kernel rank", twos_unlowered),
     ("dimension table: counting vs kernel rank", last_part_guard_dropped),
@@ -150,17 +193,23 @@ FAULTS = [
     ("kernel of d matches the span of the B(0) basis", lowering_leaves_the_slice),
     ("structure constants realize polynomial products", structure_constant_bumped),
     ("lifts project to g_beta and satisfy d F = F", delta_part_factor_dropped),
+    ("closed product formulas match structure constants", closed_form_bumped),
+    ("closing identity: numeric Chern series is lifted basis sum", e_power_off_by_one),
+    ("relations vanish in Q[x] and number monomials minus dim J_d", generator_dropped),
+    ("relations vanish in Q[x] and number monomials minus dim J_d", relation_coefficient_flipped),
 ]
 
 
 @pytest.mark.parametrize("name, plant", FAULTS, ids=[p.__name__ for _, p in FAULTS])
 def test_each_check_fails_on_its_planted_fault(name, plant):
+    # a plant that needs a larger weight than 8 to show carries its own
+    max_n = getattr(plant, "max_n", 8)
     with pytest.MonkeyPatch.context() as mp:
         plant(mp)
-        results = checks.run(8)
+        results = checks.run(max_n)
     assert dict(results)[name] is False
     # a fault hides no check: the names are those of a run without it
-    assert [check for check, _ in results] == [check for check, _ in checks.run(8)]
+    assert [check for check, _ in results] == [check for check, _ in checks.run(max_n)]
 
 
 def test_every_check_has_a_planted_fault():

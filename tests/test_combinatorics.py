@@ -5,18 +5,16 @@ from hypothesis import strategies as st
 from jring.combinatorics import (
     EMPTY,
     b0_counts,
-    conjugate,
-    dominance_leq,
     enumerate_compositions,
     enumerate_partitions,
     is_composition,
     leading_partition,
     partitions_of_next_degree,
-    to_partition,
     weight,
 )
 
 import enumeration_oracle
+from partition_oracle import conjugate, dominance_leq, to_partition
 
 
 def test_enumerate_basic_examples():

@@ -1,7 +1,9 @@
-"""No module in src/jring or tests imports a name it never uses.
+"""No module in src/jring or tests imports a name it never uses, and
+src/jring defines nothing that only the tests use.
 
-A small stand-in for an unused-import lint: each module is parsed with ast,
-and every name an import binds must occur somewhere as a Name node.
+Two small stand-ins for lints, on modules parsed with ast: every name an
+import binds must occur somewhere as a Name node, and every function, class
+and method src/jring defines must be referenced from src/jring or perfbench.
 """
 
 import ast
@@ -12,6 +14,7 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "jring"
 MODULES = sorted(SRC.glob("*.py"))
+PERFBENCH = sorted((TESTS.parent / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +44,57 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced(defining: list[str], referencing: list[str]) -> list[str]:
+    """The top-level functions and classes, and their methods, that the
+    defining sources define and no referencing source names; dunders are
+    exempt.
+
+    A reference is a Name, an Attribute or an imported name, matched by name
+    alone, so a local variable or parameter of the same name hides a method.
+    """
+    defined = []
+    for source in defining:
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{node.name}.{m.name}", m.name)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                ]
+    used = set()
+    for source in referencing:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(
+        qualified
+        for qualified, name in defined
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    )
+
+
+def test_the_check_finds_test_only_code():
+    defining = (
+        "class P:\n"
+        "    def used(self): ...\n"
+        "    def unused(self): ...\n"
+        "    def __eq__(self, other): ...\n"
+        "def f(): ...\n"
+        "def g(): ...\n"
+    )
+    referencing = "from m import f\nP().used()\n"
+    assert unreferenced([defining], [defining, referencing]) == ["P.unused", "g"]
+
+
+def test_src_keeps_no_test_only_code():
+    sources = [path.read_text() for path in MODULES]
+    callers = sources + [path.read_text() for path in PERFBENCH]
+    assert unreferenced(sources, callers) == []

@@ -62,7 +62,7 @@ def label_pairs(draw, max_total):
 
 def test_g_poly_unit_and_examples():
     assert g_poly(EMPTY) == XPolynomial.one()
-    assert g_poly((1,)) == XPolynomial.variable(1)
+    assert g_poly((1,)) == XPolynomial({(1,): 1})
     assert g_poly((0, 2)) == XPolynomial({(2, 2): 1, (3, 1): -2})
 
 
@@ -243,7 +243,7 @@ def test_ch_series_specialization_matches_numeric_product():
         ell = len(ks)
         numeric = ch_numeric(ks, 8)
         for n in range(ell, 9):
-            total = XPolynomial.zero()
+            total = XPolynomial()
             for beta in enumerate_compositions(n, ell):
                 total = total + g_poly(beta).scale(e_power_value(beta, ks))
             assert total == project(numeric, n, ell)
@@ -312,6 +312,6 @@ def test_lift_exp_differs_from_lift_tilde_at_degree_four():
 
 def test_lift_exp_rejects_non_invariants():
     with pytest.raises(ValueError):
-        lift_exp(XPolynomial.variable(2), 5)
+        lift_exp(XPolynomial({(2,): 1}), 5)
     with pytest.raises(ValueError):
-        lift_exp(XPolynomial.zero(), 5)
+        lift_exp(XPolynomial(), 5)

@@ -10,7 +10,6 @@ from backsub_oracle import build_transition_matrix
 from dense_oracle import dense_expansion
 from jring import checks, invariants, symfun
 from jring.combinatorics import (
-    dominance_leq,
     enumerate_compositions,
     enumerate_partitions,
     leading_partition,
@@ -21,6 +20,7 @@ from jring.symfun import (
     transition_matrix,
     waring_coefficient,
 )
+from partition_oracle import dominance_leq
 
 
 def test_expand_examples():

@@ -20,7 +20,7 @@ import lift_oracle
 
 
 def x(i):
-    return XPolynomial.variable(i)
+    return XPolynomial({(i,): 1})
 
 
 def random_poly(rng, max_degree=10, n_terms=5):
@@ -41,7 +41,7 @@ def random_poly(rng, max_degree=10, n_terms=5):
 
 def test_multiply_examples():
     p = x(1) * x(1)
-    assert p * p == XPolynomial.monomial((1, 1, 1, 1))
+    assert p * p == XPolynomial({(1, 1, 1, 1): 1})
     q = XPolynomial({(2, 2): 1, (3, 1): -2})  # x2^2 - 2 x1 x3
     sq = q * q
     assert sq == XPolynomial(
@@ -53,7 +53,7 @@ def test_multiply_examples():
 def test_addition_cancels():
     q = XPolynomial({(2, 2): 1, (3, 1): -2})
     assert (q - q).is_zero()
-    assert q + (-q) == XPolynomial.zero()
+    assert q + (-q) == XPolynomial()
 
 
 def test_zero_coefficients_never_stored():
@@ -112,7 +112,7 @@ def test_commutator_is_length_times_identity():
     # d(delta m) - delta(d m) = (number of factors of m) * m
     for n in range(1, 13):
         for lam in _partitions_up_to(n):
-            m = XPolynomial.monomial(lam)
+            m = XPolynomial({lam: 1})
             comm = derivation_d(derivation_delta(m)) - derivation_delta(
                 derivation_d(m)
             )
@@ -149,9 +149,8 @@ def test_truncate():
 
 def test_rational_coefficients_round_trip():
     p = XPolynomial({(2, 2): Fraction(1, 4), (3, 1): Fraction(1, 2)})
-    assert not p.is_integral()
-    assert p.scale(4).is_integral()
-    assert p.coefficient((2, 2)) == Fraction(1, 4)
+    assert p.terms == {(2, 2): Fraction(1, 4), (3, 1): Fraction(1, 2)}
+    assert p.scale(4).terms == {(2, 2): 1, (3, 1): 2}
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +189,8 @@ def test_integral_fractions_are_stored_as_int():
     half = XPolynomial({(1,): Fraction(1, 2), (2,): Fraction(4, 2)})
     assert half.terms == {(1,): Fraction(1, 2), (2,): 2}
     assert type(half.terms[(2,)]) is int
-    assert type((half + half).coefficient((1,))) is int
-    assert type(half.scale(Fraction(2)).coefficient((1,))) is int
-    assert type(XPolynomial.zero().coefficient((3,))) is int
+    assert type((half + half).terms[(1,)]) is int
+    assert type(half.scale(Fraction(2)).terms[(1,)]) is int
 
 
 @settings(max_examples=60, deadline=None, database=None)
