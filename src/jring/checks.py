@@ -6,6 +6,7 @@ through their modules, so a wrapped or patched function is the one checked.
 """
 
 import math
+from typing import Optional
 
 from . import analysis, combinatorics, invariants, symfun, xring
 from .combinatorics import Composition
@@ -173,17 +174,26 @@ def closing_identity(max_degree: int) -> bool:
     return True
 
 
-def relation_vanishes(rel: analysis.Relation) -> bool:
+def relation_vanishes(rel: analysis.Relation, products: Optional[dict] = None) -> bool:
     """The relation holds in Q[x], with no structure constant on the way.
 
     Each monomial is multiplied out as a product of basis polynomials, and
-    the weighted sum of the products is 0.
+    the weighted sum of the products is 0.  products maps a monomial to its
+    product; a caller that checks many relations passes one dict, so each
+    distinct monomial is multiplied out once.
     """
-    products = (
-        math.prod(map(invariants.g_poly, mono), start=xring.XPolynomial.one()).scale(c)
-        for mono, c in rel.items()
-    )
-    return sum(products, xring.XPolynomial()).is_zero()
+    if products is None:
+        products = {}
+    total: dict = {}
+    for mono, c in rel.items():
+        product = products.get(mono)
+        if product is None:
+            product = products[mono] = math.prod(
+                map(invariants.g_poly, mono), start=xring.XPolynomial.one()
+            )
+        for lam, v in product.terms.items():
+            total[lam] = total.get(lam, 0) + c * v
+    return not any(total.values())
 
 
 def relations_vanish(d: int) -> bool:
@@ -196,7 +206,10 @@ def relations_vanish(d: int) -> bool:
     relations = analysis.find_relations(d, gens)
     monomials = analysis._monomials_of_weight(gens, d)
     dim = sum(len(combinatorics.enumerate_compositions(d, ell, first=0)) for ell in range(d + 1))
-    return len(relations) == len(monomials) - dim and all(map(relation_vanishes, relations))
+    products: dict = {}
+    return len(relations) == len(monomials) - dim and all(
+        relation_vanishes(rel, products) for rel in relations
+    )
 
 
 def run(max_n: int) -> list[tuple[str, bool]]:

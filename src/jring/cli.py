@@ -46,16 +46,17 @@ def render_polynomial_json(p: XPolynomial) -> list[dict]:
     ]
 
 
-def _runs(lam):
+def _runs(lam) -> list[tuple[int, int]]:
     """(part, multiplicity) for each run of equal parts of a partition, smallest part first."""
+    out = []
     end = len(lam)
     while end:
         v = lam[end - 1]
-        start = end - 1
-        while start and lam[start - 1] == v:
-            start -= 1
-        yield v, end - start
+        # parts are weakly decreasing, so v's run starts where v first occurs
+        start = lam.index(v)
+        out.append((v, end - start))
         end = start
+    return out
 
 
 def _monomial_text(lam) -> str:
@@ -71,28 +72,40 @@ def _monomial_latex(lam) -> str:
     for v, e in _runs(lam):
         pieces.append(f"x_{{{v}}}" if v >= 10 else f"x_{v}")
         if e > 1:
-            pieces[-1] += f"^{{{e}}}" if e >= 10 else f"^{e}"
+            pieces.append(f"^{{{e}}}" if e >= 10 else f"^{e}")
     return "".join(pieces)
 
 
 def _render_terms(terms, mono_fn, joiner: str = " ") -> str:
+    """The signed sum of the terms (key, c), each key written by mono_fn.
+
+    A coefficient is an int or a Fraction; its sign and magnitude are read
+    off the int, or off the Fraction's numerator and denominator, so no
+    Fraction arithmetic runs.  A term whose key writes as "1" shows its
+    magnitude alone, and one of magnitude 1 its key alone.
+    """
     if not terms:
         return "0"
-    out = ""
-    for i, (lam, c) in enumerate(terms):
+    pieces = []
+    for lam, c in terms:
+        if type(c) is int:
+            num, den = c, 1
+        else:
+            num, den = c.numerator, c.denominator
+        pieces.append(" - " if num < 0 else " + ")
+        if num < 0:
+            num = -num
+        mag = str(num) if den == 1 else f"{num}/{den}"
         mono = mono_fn(lam)
-        mag = abs(c)
         if mono == "1":
-            body = str(mag)
-        elif mag == 1:
-            body = mono
+            pieces.append(mag)
+        elif mag == "1":
+            pieces.append(mono)
         else:
-            body = f"{mag}{joiner}{mono}"
-        if i == 0:
-            out = body if c > 0 else f"-{body}"
-        else:
-            out += f" + {body}" if c > 0 else f" - {body}"
-    return out
+            pieces.append(f"{mag}{joiner}{mono}")
+    # the first term carries its sign with no spaces, and no sign when positive
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
 
 
 def render_polynomial_text(p: XPolynomial) -> str:

@@ -21,7 +21,7 @@ from .combinatorics import (
     is_composition,
     weight,
 )
-from .xring import Coeff, XPolynomial, derivation_d, derivation_delta, truncate
+from .xring import Coeff, XPolynomial, derivation_d, derivation_delta
 
 JCombination = dict[Composition, int]
 
@@ -197,16 +197,24 @@ def e_power_value(beta: Composition, ks: Sequence[int]) -> int:
 
 
 def ch_numeric(ks: Sequence[int], max_degree: int) -> XPolynomial:
-    """Truncated product of the numeric power series sum_i k_j^i x_i."""
+    """Truncated product of the numeric power series sum_i k_j^i x_i.
+
+    Every factor starts at degree 1, so a term of degree d meets only the
+    factor terms of degree <= max_degree - d, and nothing above the
+    truncation degree is ever formed.
+    """
     if not ks or max_degree < 1:
         raise ValueError("need a nonempty k tuple and max_degree >= 1")
-    out = XPolynomial.one()
+    out: dict[Partition, Coeff] = {(): 1}
     for k in ks:
-        factor = XPolynomial(
-            {(i,): k**i for i in range(1, max_degree + 1)}
-        )
-        out = truncate(out * factor, max_degree)
-    return out
+        powers = [k**i for i in range(max_degree + 1)]
+        step: dict[Partition, Coeff] = {}
+        for lam, c in out.items():
+            for i in range(1, max_degree - sum(lam) + 1):
+                key = tuple(sorted(lam + (i,), reverse=True))
+                step[key] = step.get(key, 0) + c * powers[i]
+        out = {lam: c for lam, c in step.items() if c}
+    return XPolynomial._canonical(out)
 
 
 def chern_coefficients(

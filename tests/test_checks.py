@@ -58,7 +58,8 @@ def b0_count_bumped(mp):
 
     def bumped(n_max):
         rows = counts(n_max)
-        rows[6][3] += 1
+        if n_max >= 6:
+            rows[6][3] += 1
         return rows
 
     mp.setattr(combinatorics, "b0_counts", bumped)
@@ -69,7 +70,8 @@ def series_shifted(mp):
 
     def shifted(order, ell=None):
         coeffs = series(order, ell)
-        coeffs[5] += 1
+        if order >= 5:
+            coeffs[5] += 1
         return coeffs
 
     mp.setattr(analysis, "poincare_series", shifted)
@@ -80,7 +82,8 @@ def bivariate_row_shifted(mp):
 
     def shifted(order):
         rows = series(order)
-        rows[3][2] = rows[3].get(2, 0) + 1
+        if order >= 3:
+            rows[3][2] = rows[3].get(2, 0) + 1
         return rows
 
     mp.setattr(analysis, "poincare_series_bivariate", shifted)
@@ -210,6 +213,19 @@ def test_each_check_fails_on_its_planted_fault(name, plant):
     assert dict(results)[name] is False
     # a fault hides no check: the names are those of a run without it
     assert [check for check, _ in results] == [check for check, _ in checks.run(max_n)]
+
+
+PLANTS = sorted({plant for _, plant in FAULTS}, key=lambda plant: plant.__name__)
+
+
+@pytest.mark.parametrize("plant", PLANTS, ids=[plant.__name__ for plant in PLANTS])
+def test_each_plant_runs_below_the_weight_it_shows_at(plant):
+    # a plant bumps only where its position exists, so a check that calls
+    # the patched function with a small argument sees no error
+    with pytest.MonkeyPatch.context() as mp:
+        plant(mp)
+        for max_n in range(1, 6):
+            assert len(checks.run(max_n)) == 12
 
 
 def test_every_check_has_a_planted_fault():

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jring.cli import (
     build_parser,
@@ -17,6 +22,7 @@ from jring import analysis, invariants
 from jring.invariants import g_poly
 from jring.xring import XPolynomial
 
+import render_oracle
 from test_checks import lowering_leaves_the_slice
 
 
@@ -70,6 +76,55 @@ def test_render_combination():
         == r"-g_{(\emptyset)} + g_{(1)} - 3g_{(0,1)}"
     )
     assert render_combination({}, "latex") == "0"
+
+
+# a partition as its runs {part: multiplicity}; () is the constant term
+partitions = st.dictionaries(st.integers(1, 12), st.integers(1, 12), max_size=3).map(
+    lambda runs: tuple(sorted((v for v, e in runs.items() for _ in range(e)), reverse=True))
+)
+coefficients = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(-9, 9),
+    st.integers(-1000, 1000),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(7, 3), Fraction(-7, 3)]),
+)
+compositions = st.one_of(
+    st.just(()),
+    st.builds(
+        lambda body, last: tuple(body) + (last,),
+        st.lists(st.integers(0, 12), max_size=4),
+        st.integers(1, 12),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.dictionaries(partitions, coefficients, max_size=12))
+def test_polynomials_render_as_the_oracle_renders_them(terms):
+    # int, +-1 and +-p/q coefficients, a constant term, parts and
+    # multiplicities of 10 or more, in every format
+    p = XPolynomial(terms)
+    for fmt in ("text", "latex", "json"):
+        assert render_polynomial(p, fmt) == render_oracle.render_polynomial(p, fmt)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.dictionaries(compositions, st.integers(-20, 20).filter(bool), max_size=6))
+def test_combinations_render_in_latex_as_the_oracle_renders_them(comb):
+    assert render_combination(comb, "latex") == render_oracle.render_combination_latex(comb)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(1, 30), st.one_of(st.none(), st.integers(0, 6)))
+def test_series_latex_renders_as_the_oracle_renders_it(order, ell):
+    argv = ["series", "--order", str(order), "--format", "latex", "--which"]
+    argv += ["J"] if ell is None else ["Jl", "--ell", str(ell)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    expected = render_oracle.series_latex(analysis.poincare_series(order, ell))
+    assert out.getvalue() == expected + "\n"
 
 
 def test_parse_beta():

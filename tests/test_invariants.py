@@ -22,6 +22,7 @@ from jring.invariants import (
 )
 from jring.xring import XPolynomial, project
 
+import chern_oracle
 from appendix_data import ALL_BASIS_TABLES
 from pair_table_oracle import pair_table_constants
 from split_table_oracle import split_table_constants
@@ -252,6 +253,19 @@ def test_ch_series_specialization_matches_numeric_product():
 def test_ch_numeric_rank_one():
     got = ch_numeric((2,), 4)
     assert got == XPolynomial({(1,): 2, (2,): 4, (3,): 8, (4,): 16})
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+    st.integers(1, 12),
+)
+def test_ch_numeric_matches_the_full_product_truncated(ks, max_degree):
+    # below len(ks) no term survives: each factor starts at degree 1
+    got = ch_numeric(ks, max_degree)
+    assert got == chern_oracle.ch_numeric(ks, max_degree)
+    if max_degree < len(ks):
+        assert got.is_zero()
 
 
 def test_chern_coefficients_are_zero_first_basis_polynomials():
