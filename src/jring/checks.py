@@ -72,6 +72,46 @@ def waring_matches_matrix(n: int, ell: int) -> bool:
     return all(0 != closed == entry for closed, entry in values)
 
 
+def transpose_symmetric(max_n: int) -> bool:
+    """M is symmetric under conjugation, on the slices of weight n <= max_n.
+
+    e_lambda = sum_mu a_(lambda mu) m_mu, where a_(lambda mu) counts the 0-1
+    matrices with row sums lambda and column sums mu (Macdonald, I.6).  That
+    matrix is symmetric, so its inverse is too, and e^beta = e_(conj lead
+    beta).  So at row lambda and label beta of slice (n, l), with b the sum
+    of beta (the first part of lead beta):
+    - if lambda_1 < b, the entry is 0;
+    - if lambda_1 = b, it is the entry of slice (n, b) at row conj(lead beta)
+      and label from_leading_partition(conj lambda).
+    The pairs with lambda_1 > b meet slices of weight up to 2n and are not
+    read.  Only stored rows are read, so the check does not rest on the
+    Pieri steps or on the e^beta expansion.
+    """
+    for n in range(1, max_n + 1):
+        slices = [symfun.transition_matrix(n, ell) for ell in range(1, n + 1)]
+        position = {lam: i for tm in slices for i, lam in enumerate(tm.partitions)}
+        # the position of each partition's conjugate, in the slice of its length
+        flip = {
+            lam: position[tuple(sum(p > i for p in lam) for i in range(lam[0]))]
+            for lam in position
+        }
+        for tm in slices:
+            firsts = [mu[0] for mu in tm.partitions]
+            for lam, row in zip(tm.partitions, tm.index_rows):
+                # the labels with b = lambda_1 form one run in lexicographic
+                # order; the run before it has b > lambda_1
+                top = lam[0]
+                lo = firsts.index(top)
+                if row and min(row) < lo:
+                    return False
+                other = slices[top - 1].index_rows
+                col = flip[lam]
+                for k in range(lo, lo + firsts.count(top)):
+                    if row.get(k, 0) != other[flip[tm.partitions[k]]].get(col, 0):
+                        return False
+    return True
+
+
 def derivation_lowers_first_index(n: int, ell: int) -> bool:
     """d g_beta is zero on B(0), else g_(beta_1 - 1, beta_2, ...) and nonzero."""
     for beta in combinatorics.enumerate_compositions(n, ell):
@@ -227,6 +267,7 @@ def run(max_n: int) -> list[tuple[str, bool]]:
     ):
         results.append((name, all(check(n, ell) for n, ell in slices)))
     return results + [
+        ("transition matrices are symmetric under conjugation", transpose_symmetric(max_n)),
         ("structure constants realize polynomial products", products_realize(max_n // 2)),
         ("lifts project to g_beta and satisfy d F = F", lift_laws(max_n // 2)),
         ("closed product formulas match structure constants", closed_products(max_n // 4)),

@@ -11,7 +11,11 @@ mu by one: choose t_v copies of each distinct part v with sum t_v = j, giving
 nu with coefficient prod_v C(mult_nu(v + 1), t_v), the number of ways to pick
 which parts of nu came from raising (Macdonald, Symmetric Functions and Hall
 Polynomials, I.6).  Raising the j largest parts gives the dominance-largest
-term, with coefficient 1.
+term, with coefficient 1.  For j = 1 this is the one-box rule: nu is mu with
+the first part of one block of equal parts v raised, with coefficient
+mult_nu(v + 1), so the terms are read off in one scan of mu's blocks; most
+Pieri steps of a build are by e_1, and the general expansion, which builds
+a tuple per partial, would build O(b^2) tuples for the b terms.
 
 A slice's rows are solved from the dominance-smallest lambda upwards, each
 row in one of three ways: as an e_l shift, as a Pieri step, or, in a stable
@@ -85,9 +89,25 @@ RaiseTable = dict[int, dict[Partition, list[tuple[Partition, int]]]]
 
 def _raise_terms(mu: Partition, j: int) -> list[tuple[Partition, int]]:
     # the terms (nu, coefficient) of m_mu * e_j (mu weakly decreasing, zeros
-    # allowed); each partial is (parts of nu so far, coefficient, raises
-    # left, unraised copies of the previous value), extended one block of
-    # equal parts at a time, left to right
+    # allowed), in increasing order of nu
+    if j == 1:
+        # e_1's one-box rule, first since most Pieri steps of a build take
+        # it: raise the first part v of each block; the coefficient, nu's
+        # count of parts v + 1, adds the block before when its parts are v + 1
+        terms = []
+        prev = None
+        last = 0
+        for i, v in enumerate(mu):
+            if v != prev:
+                coeff = i - last + 1 if prev == v + 1 else 1
+                terms.append((mu[:i] + (v + 1,) + mu[i + 1:], coeff))
+                last = i
+                prev = v
+        terms.reverse()
+        return terms
+    # each partial is (parts of nu so far, coefficient, raises left,
+    # unraised copies of the previous value), extended one block of equal
+    # parts at a time, left to right
     partial = [((), 1, j, 0)]
     size = len(mu)
     prev = None

@@ -268,12 +268,12 @@ RECORDED: dict[str, tuple[int, str, str]] = {
     'relations --degree 14 --format json': (0, 'a950f3d9bce9419e671b0b5e6f12028f07f9122d17fd54abcc3bf9ffba1a10d9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     '--format latex relations --degree 14': (0, '25c62648ba371ea0916104085be8b7d9dd32f1f47e6812c9e23ec5224a4482c2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'relations --degree 14 --format latex': (0, '25c62648ba371ea0916104085be8b7d9dd32f1f47e6812c9e23ec5224a4482c2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    '--format text verify --max-n 6': (0, '2f6cfae504efc3a641fbd52ed07bad728ce3b10f33cab363aeddfc2e350b0c4e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'verify --max-n 6 --format text': (0, '2f6cfae504efc3a641fbd52ed07bad728ce3b10f33cab363aeddfc2e350b0c4e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    '--format json verify --max-n 6': (0, 'a287e33e73a4cd07dc5198ae49a7dd39faf0c7456d6a8b6ed630c098899f11d1', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'verify --max-n 6 --format json': (0, 'a287e33e73a4cd07dc5198ae49a7dd39faf0c7456d6a8b6ed630c098899f11d1', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    '--format latex verify --max-n 6': (0, '2f6cfae504efc3a641fbd52ed07bad728ce3b10f33cab363aeddfc2e350b0c4e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'verify --max-n 6 --format latex': (0, '2f6cfae504efc3a641fbd52ed07bad728ce3b10f33cab363aeddfc2e350b0c4e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    '--format text verify --max-n 6': (0, 'ba153b72fb3082a298e2d395b9568797cdfbe2753bf642089bfccf1f5c2348d3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify --max-n 6 --format text': (0, 'ba153b72fb3082a298e2d395b9568797cdfbe2753bf642089bfccf1f5c2348d3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    '--format json verify --max-n 6': (0, '1d4b7084c09a072b73f294d4c3b5b83b1963098dc6d47b84dbe80b4fd47e6760', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify --max-n 6 --format json': (0, '1d4b7084c09a072b73f294d4c3b5b83b1963098dc6d47b84dbe80b4fd47e6760', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    '--format latex verify --max-n 6': (0, 'ba153b72fb3082a298e2d395b9568797cdfbe2753bf642089bfccf1f5c2348d3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify --max-n 6 --format latex': (0, 'ba153b72fb3082a298e2d395b9568797cdfbe2753bf642089bfccf1f5c2348d3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     '--format text basis --n -1 --ell 2': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '494c5ceea2ca5a3df9f78d838c2733d8494bed6d2d9954bc5eaae7d3fdaa858f'),
     'basis --n -1 --ell 2 --format text': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '494c5ceea2ca5a3df9f78d838c2733d8494bed6d2d9954bc5eaae7d3fdaa858f'),
     '--format json basis --n -1 --ell 2': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '494c5ceea2ca5a3df9f78d838c2733d8494bed6d2d9954bc5eaae7d3fdaa858f'),

@@ -97,6 +97,33 @@ def matrix_entry_bumped(mp):
     row[next(iter(row))] += 1
 
 
+def _filled(mp):
+    # every slice up to weight 8 built in ascending order, so each stable
+    # slice shares the rows below it, and a bump made afterwards reaches no
+    # later build
+    mp.setattr(symfun, "_memo", {})
+    for n in range(1, 9):
+        for ell in range(1, n + 1):
+            symfun.transition_matrix(n, ell)
+
+
+def shared_diagonal_bumped(mp):
+    # row (2) of slice (2, 1) is stored once for (3, 2), (4, 3), ...; at its
+    # label (2) it is read against the entry of (2, 2) at (1, 1), in (3, 2)
+    # against itself, since (2, 1) is self-conjugate, and in (4, 3) against
+    # the entry of (4, 2) at (3, 1)
+    _filled(mp)
+    symfun.transition_matrix(3, 2).index_rows[0][0] += 1
+
+
+def entry_above_first_part(mp):
+    # row (2, 2) of slice (4, 2) gets a term at the label that leads with
+    # (3, 1), whose entries sum to 3 > 2
+    _filled(mp)
+    tm = symfun.transition_matrix(4, 2)
+    tm.index_rows[tm.partitions.index((2, 2))][0] = 1
+
+
 def waring_bumped(mp):
     waring = symfun.waring_coefficient
     mp.setattr(symfun, "waring_coefficient", lambda b: waring(b) + (b == (0, 3)))
@@ -190,6 +217,8 @@ FAULTS = [
     ("dimension table matches bivariate Poincare series row by row", bivariate_row_shifted),
     ("expansion times transition matrix is identity", matrix_entry_bumped),
     ("Waring closed form matches matrix entries", waring_bumped),
+    ("transition matrices are symmetric under conjugation", shared_diagonal_bumped),
+    ("transition matrices are symmetric under conjugation", entry_above_first_part),
     ("derivation acts by lowering the first index", derivation_doubled),
     ("derivation acts by lowering the first index", block_size_dropped),
     ("kernel of d matches the span of the B(0) basis", kernel_vector_dropped),
@@ -225,8 +254,20 @@ def test_each_plant_runs_below_the_weight_it_shows_at(plant):
     with pytest.MonkeyPatch.context() as mp:
         plant(mp)
         for max_n in range(1, 6):
-            assert len(checks.run(max_n)) == 12
+            assert len(checks.run(max_n)) == 13
 
 
 def test_every_check_has_a_planted_fault():
     assert {name for name, _ in checks.run(2)} <= {name for name, _ in FAULTS}
+
+
+def test_a_bump_in_shared_rows_trips_the_conjugation_check_in_each_weight():
+    # the bumped entry shows in every slice that holds its row list; where
+    # it is read against itself it hides, and the check fails on the others
+    with pytest.MonkeyPatch.context() as mp:
+        shared_diagonal_bumped(mp)
+        rows = symfun.transition_matrix(2, 1).index_rows
+        assert all(symfun.transition_matrix(n, n - 1).index_rows is rows for n in (3, 4))
+        assert checks.transpose_symmetric(1)
+        for max_n in (2, 3, 4):
+            assert not checks.transpose_symmetric(max_n)

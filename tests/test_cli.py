@@ -297,7 +297,7 @@ def test_verify_command(capsys):
     code, out = run(capsys, "verify", "--max-n", "4")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 12
+    assert len(lines) == 13
     assert all(line.startswith("PASS") for line in lines)
     name = "dimension table matches bivariate Poincare series row by row"
     assert f"PASS  {name}" in lines
@@ -361,12 +361,12 @@ def test_a_lowering_outside_the_slice_fails_verify_and_stops_dims(capsys, monkey
     assert (
         "FAIL  dimension table matches bivariate Poincare series row by row" in captured.out
     )
-    assert len(captured.out.splitlines()) == 12
+    assert len(captured.out.splitlines()) == 13
     assert captured.err.endswith(" check(s) failed\n") and captured.err.count("\n") == 1
     assert main(["verify", "--max-n", "6", "--format", "json"]) == 1
     captured = capsys.readouterr()
     records = {r["check"]: r["ok"] for r in json.loads(captured.out)}
-    assert len(records) == 12
+    assert len(records) == 13
     assert records["kernel of d matches the span of the B(0) basis"] is False
     assert records["dimension table: counting vs kernel rank"] is False
     assert captured.err.endswith(" check(s) failed\n") and captured.err.count("\n") == 1

@@ -277,9 +277,11 @@ def test_raise_terms_match_value_by_value_oracle():
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.lists(st.integers(0, 9), min_size=1, max_size=12), st.data())
 def test_raise_terms_match_oracle_on_drawn_partitions(parts, data):
-    # beyond the exhaustive range: longer mu, larger parts and weights
+    # beyond the exhaustive range: longer mu, larger parts and weights.  About
+    # half the draws take j = 1, the one-box rule, so long mu with many blocks
+    # reach it
     mu = tuple(sorted(parts, reverse=True))
-    j = data.draw(st.integers(1, len(mu)))
+    j = data.draw(st.one_of(st.just(1), st.integers(1, len(mu))))
     assert _raise_dict(symfun._raise_terms(mu, j)) == _raise_dict(
         raise_oracle.raise_terms(mu, j)
     )
