@@ -39,8 +39,8 @@ and every other nu is dominance-smaller than lambda in the same slice, so
 its row is already solved.  (The shift is the case j = l, which has no
 other nu.)  A build therefore reads the rows of the earlier slices of its
 length from the memo, and transition_matrix fills those in increasing n
-first.  expand_elementary_product multiplies out e^beta with the same
-rule; the build does not need it.
+first.  expand_elementary_product multiplies out e^beta for every label
+of a slice with the same rule; the build does not need it.
 
 A shared row.  A slice with 2l > n is stable: it holds the rows of slice
 (n - 1, l - 1) entry for entry.  Each lambda in it ends in a part 1, and
@@ -77,14 +77,12 @@ from typing import Optional
 from .combinatorics import (
     Composition,
     Partition,
+    enumerate_compositions,
     enumerate_partitions,
     from_leading_partition,
     is_composition,
     weight,
 )
-
-
-RaiseTable = dict[int, dict[Partition, list[tuple[Partition, int]]]]
 
 
 def _raise_terms(mu: Partition, j: int) -> list[tuple[Partition, int]]:
@@ -135,46 +133,38 @@ def _raise_terms(mu: Partition, j: int) -> list[tuple[Partition, int]]:
     return [(nu, coeff) for nu, coeff, _, _ in partial]
 
 
-def _times_elementary(
-    state: dict[Partition, int], j: int, table: RaiseTable
-) -> dict[Partition, int]:
-    # multiply sum_mu c_mu m_mu by e_j, generating the terms of m_mu * e_j
-    # only for the mu not yet in the table
-    raises = table.setdefault(j, {})
-    out: dict[Partition, int] = {}
-    for mu, c in state.items():
-        terms = raises.get(mu)
-        if terms is None:
-            terms = raises[mu] = _raise_terms(mu, j)
-        for nu, k in terms:
-            out[nu] = out.get(nu, 0) + c * k
-    return out
+def expand_elementary_product(n: int, ell: int) -> list[dict[Partition, int]]:
+    """The coefficients over the m_lambda basis, in l variables, of e^beta
+    for every label beta of slice (n, l), n >= l >= 1 required.
 
-
-def expand_elementary_product(
-    beta: Composition, table: Optional[RaiseTable] = None
-) -> dict[Partition, int]:
-    """Coefficients of e^beta over the m_lambda basis in l = len(beta) variables.
-
-    Multiplies by e_1, ..., e_{l-1} in turn in partition space.  The
-    e_l^{beta_l} factor comes first, as the start state m_{(beta_l^l)}:
-    multiplying by e_l^s adds s to every part, and the Pieri coefficients
-    depend only on the multiplicities of equal parts, which that shift
-    keeps.  So every lambda that appears has exactly l parts.  The terms
-    of each m_mu * e_j are read from the raise table, which is filled as
-    needed; a table may be shared by the labels of one (n, l) slice, and
-    without one a fresh table is used.
+    The labels come in the order of transition_matrix(n, ell).compositions.
+    Each e^beta is multiplied out by e_1, ..., e_{l-1} in turn in partition
+    space.  The e_l^{beta_l} factor comes first, as the start state
+    m_{(beta_l^l)}: multiplying by e_l^s adds s to every part, and the
+    Pieri coefficients depend only on the multiplicities of equal parts,
+    which that shift keeps.  So every lambda that appears has exactly l
+    parts.  The terms of each m_mu * e_j are generated once for the slice.
     """
-    if not is_composition(beta) or not beta:
-        raise ValueError(f"{beta} is not a valid nonempty index")
-    if table is None:
-        table = {}
-    ell = len(beta)
-    state: dict[Partition, int] = {(beta[-1],) * ell: 1}
-    for j in range(1, ell):
-        for _ in range(beta[j - 1]):
-            state = _times_elementary(state, j, table)
-    return state
+    if not n >= ell >= 1:
+        raise ValueError("expand_elementary_product requires n >= ell >= 1")
+    # raises[j][mu] holds the terms of m_mu * e_j
+    raises: dict[int, dict] = {j: {} for j in range(1, ell)}
+    expansions = []
+    for beta in enumerate_compositions(n, ell):
+        state: dict[Partition, int] = {(beta[-1],) * ell: 1}
+        for j in range(1, ell):
+            table = raises[j]
+            for _ in range(beta[j - 1]):
+                out: dict[Partition, int] = {}
+                for mu, c in state.items():
+                    terms = table.get(mu)
+                    if terms is None:
+                        terms = table[mu] = _raise_terms(mu, j)
+                    for nu, k in terms:
+                        out[nu] = out.get(nu, 0) + c * k
+                state = out
+        expansions.append(state)
+    return expansions
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Reference transition-matrix build: expand every e^beta, then back-substitute.
 
 This is the build jring.symfun used before it switched to one Pieri step per
-partition.  It expands each e^beta over the m_lambda basis (through one raise
-table for the slice), checks that the expansion is unitriangular, and solves
+partition.  It expands each e^beta over the m_lambda basis (in one call for
+the whole slice), checks that the expansion is unitriangular, and solves
 the rows of M from the dominance-smallest partition upwards.  It reads no
 other slice, so its matrices check the chained build slice by slice.
 """
@@ -14,7 +14,7 @@ from jring.combinatorics import (
     enumerate_partitions,
     leading_partition,
 )
-from jring.symfun import RaiseTable, TransitionMatrix, expand_elementary_product
+from jring.symfun import TransitionMatrix, expand_elementary_product
 
 
 def build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
@@ -22,12 +22,7 @@ def build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
     compositions = enumerate_compositions(n, ell)
     if len(partitions) != len(compositions):
         raise RuntimeError(f"index sets out of sync at (n={n}, ell={ell})")
-    # one raise table for the whole slice, dropped with the build
-    table: RaiseTable = {}
-    expansions = {
-        beta: expand_elementary_product(beta, table)
-        for beta in compositions
-    }
+    expansions = dict(zip(compositions, expand_elementary_product(n, ell), strict=True))
     pos = {lam: i for i, lam in enumerate(partitions)}
     lead_of = {beta: leading_partition(beta) for beta in compositions}
 

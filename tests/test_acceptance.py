@@ -150,6 +150,7 @@ def test_criterion_11_relations():
     relations = find_relations(12, generator_candidates(12))
     ok = ok and len(relations) == 2
     ok = ok and all(checks.relations_vanish(d) for d in range(4, 13))
+    products: dict = {}
     for rel in (RELATION_A, RELATION_B):
-        ok = ok and sparse_in_span(rel, relations) and checks.relation_vanishes(rel)
+        ok = ok and sparse_in_span(rel, relations) and checks.relation_vanishes(rel, products)
     report(11, "no relations below degree 12; both degree-12 relations", ok)

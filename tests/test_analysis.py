@@ -237,7 +237,9 @@ def test_kernel_basis_spans_the_invariant_slice():
 def test_total_series_matches_dimension_totals():
     # the rank route of dimension_table against the total series and, row
     # by row, the bivariate series, well past the published rows
-    assert [ok for _, ok in checks.dimension_checks(30)] == [True] * 3
+    assert checks.table_routes_agree(30)
+    assert checks.series_matches_table(30)
+    assert checks.bivariate_matches_table(30)
 
 
 def test_dimension_table_eliminates_nothing(monkeypatch):

@@ -65,6 +65,14 @@ def b0_count_bumped(mp):
     mp.setattr(combinatorics, "b0_counts", bumped)
 
 
+# dimension_table raises where its two routes differ, and kernel_basis where
+# d leaves its slice
+twos_unlowered.raises = RuntimeError
+lowering_leaves_the_slice.raises = RuntimeError
+last_part_guard_dropped.raises = RuntimeError
+b0_count_bumped.raises = RuntimeError
+
+
 def series_shifted(mp):
     series = analysis.poincare_series
 
@@ -209,6 +217,58 @@ def relation_coefficient_flipped(mp):
 relation_coefficient_flipped.max_n = 12
 
 
+# Three faults that make a check raise instead of return False, which
+# checks._verdict turns into FAIL.  Each plant that shows by raising names
+# the exception it raises
+
+
+def one_box_coefficient_bumped(mp):
+    # the smallest term of m_mu * e_1 gains one, so the rebuilt slices give
+    # some B(0) label a g_beta with d g_beta != 0, which lift_exp refuses
+    raise_terms = symfun._raise_terms
+
+    def bumped(mu, j):
+        terms = raise_terms(mu, j)
+        if j == 1 and len(terms) > 1:
+            nu, c = terms[0]
+            terms[0] = (nu, c + 1)
+        return terms
+
+    mp.setattr(symfun, "_memo", {})
+    mp.setattr(symfun, "_raise_terms", bumped)
+
+
+def product_leaves_b0(mp):
+    # g_(0,2) g_(0,2) gains the label (1, 0, 0, 1), which is not in B(0)
+    constants = invariants.structure_constants
+
+    def leaked(b1, b2):
+        out = dict(constants(b1, b2))
+        if (b1, b2) == ((0, 2), (0, 2)):
+            out[(1, 0, 0, 1)] = 1
+        return out
+
+    mp.setattr(invariants, "structure_constants", leaked)
+
+
+def expansion_leaves_the_slice(mp):
+    # e^(1, 1), the one label of slice (3, 2), gains m_(2, 2) of weight 4
+    expand = symfun.expand_elementary_product
+
+    def leaked(n, ell):
+        expansions = expand(n, ell)
+        if (n, ell) == (3, 2):
+            expansions[0][(2, 2)] = 1
+        return expansions
+
+    mp.setattr(symfun, "expand_elementary_product", leaked)
+
+
+one_box_coefficient_bumped.raises = ValueError
+product_leaves_b0.raises = RuntimeError
+expansion_leaves_the_slice.raises = KeyError
+
+
 FAULTS = [
     ("dimension table: counting vs kernel rank", twos_unlowered),
     ("dimension table: counting vs kernel rank", last_part_guard_dropped),
@@ -229,7 +289,26 @@ FAULTS = [
     ("closing identity: numeric Chern series is lifted basis sum", e_power_off_by_one),
     ("relations vanish in Q[x] and number monomials minus dim J_d", generator_dropped),
     ("relations vanish in Q[x] and number monomials minus dim J_d", relation_coefficient_flipped),
+    ("lifts project to g_beta and satisfy d F = F", one_box_coefficient_bumped),
+    ("structure constants realize polynomial products", product_leaves_b0),
+    ("expansion times transition matrix is identity", expansion_leaves_the_slice),
 ]
+
+
+def planted(mp, plant):
+    # checks._verdict catches only the exception the plant names, so a plant
+    # shows only by the failure it is written to cause, and a plant that
+    # raises anything else stops the run
+    plant(mp)
+    expected = getattr(plant, "raises", ())
+
+    def verdict(check, calls):
+        try:
+            return all(check(*args) for args in calls)
+        except expected:
+            return False
+
+    mp.setattr(checks, "_verdict", verdict)
 
 
 @pytest.mark.parametrize("name, plant", FAULTS, ids=[p.__name__ for _, p in FAULTS])
@@ -237,7 +316,7 @@ def test_each_check_fails_on_its_planted_fault(name, plant):
     # a plant that needs a larger weight than 8 to show carries its own
     max_n = getattr(plant, "max_n", 8)
     with pytest.MonkeyPatch.context() as mp:
-        plant(mp)
+        planted(mp, plant)
         results = checks.run(max_n)
     assert dict(results)[name] is False
     # a fault hides no check: the names are those of a run without it
@@ -252,7 +331,7 @@ def test_each_plant_runs_below_the_weight_it_shows_at(plant):
     # a plant bumps only where its position exists, so a check that calls
     # the patched function with a small argument sees no error
     with pytest.MonkeyPatch.context() as mp:
-        plant(mp)
+        planted(mp, plant)
         for max_n in range(1, 6):
             assert len(checks.run(max_n)) == 13
 

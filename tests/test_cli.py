@@ -18,12 +18,18 @@ from jring.cli import (
     render_combination,
     render_polynomial,
 )
-from jring import analysis, invariants
+from jring import analysis, checks, invariants
 from jring.invariants import g_poly
 from jring.xring import XPolynomial
 
 import render_oracle
-from test_checks import lowering_leaves_the_slice
+from test_checks import (
+    FAULTS,
+    expansion_leaves_the_slice,
+    lowering_leaves_the_slice,
+    one_box_coefficient_bumped,
+    product_leaves_b0,
+)
 
 
 def run(capsys, *argv):
@@ -323,6 +329,34 @@ def test_verify_reports_a_bivariate_row_that_differs(capsys, monkeypatch):
     name = "dimension table matches bivariate Poincare series row by row"
     assert f"FAIL  {name}" in out.splitlines()
     assert out.count("FAIL") == 1
+
+
+RAISING = [one_box_coefficient_bumped, product_leaves_b0, expansion_leaves_the_slice]
+
+
+@pytest.mark.parametrize("plant", RAISING, ids=[plant.__name__ for plant in RAISING])
+def test_a_check_that_raises_prints_fail(capsys, monkeypatch, plant):
+    # the fault stops its check, not verify: every line is printed
+    plant(monkeypatch)
+    assert main(["verify", "--max-n", "8"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 13
+    name = next(name for name, p in FAULTS if p is plant)
+    assert f"FAIL  {name}" in lines
+    assert captured.err.endswith(" check(s) failed\n") and captured.err.count("\n") == 1
+
+
+def test_verify_lets_a_recursion_error_through(capsys, monkeypatch):
+    # a check that runs out of stack says the input is too large, not FAIL
+    def deep(max_degree):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(checks, "closing_identity", deep)
+    assert main(["verify", "--max-n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "jring: input too large: maximum recursion depth exceeded\n"
 
 
 def test_invalid_beta_exits_2(capsys):

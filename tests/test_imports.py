@@ -3,7 +3,8 @@ src/jring defines nothing that only the tests use.
 
 Two small stand-ins for lints, on modules parsed with ast: every name an
 import binds must occur somewhere as a Name node, and every function, class
-and method src/jring defines must be referenced from src/jring or perfbench.
+and method src/jring defines, at any depth, must be referenced from
+src/jring or perfbench.
 """
 
 import ast
@@ -46,25 +47,23 @@ def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text()) == []
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def unreferenced(defining: list[str], referencing: list[str]) -> list[str]:
-    """The top-level functions and classes, and their methods, that the
+    """The functions, classes and methods, nested ones included, that the
     defining sources define and no referencing source names; dunders are
     exempt.
 
     A reference is a Name, an Attribute or an imported name, matched by name
     alone, so a local variable or parameter of the same name hides a method.
     """
-    defined = []
-    for source in defining:
-        for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((node.name, node.name))
-            if isinstance(node, ast.ClassDef):
-                defined += [
-                    (f"{node.name}.{m.name}", m.name)
-                    for m in node.body
-                    if isinstance(m, ast.FunctionDef)
-                ]
+    defined = {
+        node.name
+        for source in defining
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, DEFINITIONS)
+    }
     used = set()
     for source in referencing:
         for node in ast.walk(ast.parse(source)):
@@ -75,9 +74,9 @@ def unreferenced(defining: list[str], referencing: list[str]) -> list[str]:
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     return sorted(
-        qualified
-        for qualified, name in defined
-        if name not in used and not (name.startswith("__") and name.endswith("__"))
+        name
+        for name in defined - used
+        if not (name.startswith("__") and name.endswith("__"))
     )
 
 
@@ -87,11 +86,14 @@ def test_the_check_finds_test_only_code():
         "    def used(self): ...\n"
         "    def unused(self): ...\n"
         "    def __eq__(self, other): ...\n"
-        "def f(): ...\n"
+        "def f():\n"
+        "    def inner(): ...\n"
+        "    def orphan(): ...\n"
+        "    return inner\n"
         "def g(): ...\n"
     )
     referencing = "from m import f\nP().used()\n"
-    assert unreferenced([defining], [defining, referencing]) == ["P.unused", "g"]
+    assert unreferenced([defining], [defining, referencing]) == ["g", "orphan", "unused"]
 
 
 def test_src_keeps_no_test_only_code():

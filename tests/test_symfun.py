@@ -24,16 +24,20 @@ from partition_oracle import dominance_leq
 
 
 def test_expand_examples():
-    assert expand_elementary_product((2, 1)) == {(3, 1): 1, (2, 2): 2}
-    assert expand_elementary_product((0, 2)) == {(2, 2): 1}
-    assert expand_elementary_product((1,)) == {(1,): 1}
+    # slice (4, 2) has the labels (2, 1) and (0, 2), in that order
+    assert expand_elementary_product(4, 2) == [{(3, 1): 1, (2, 2): 2}, {(2, 2): 1}]
+    assert expand_elementary_product(1, 1) == [{(1,): 1}]
+    for n, ell in ((2, 3), (0, 0), (3, 0)):
+        with pytest.raises(ValueError, match="requires n >= ell >= 1"):
+            expand_elementary_product(n, ell)
 
 
 def test_expansion_matches_dense_oracle():
     for n in range(1, 13):
         for ell in range(1, n + 1):
-            for beta in enumerate_compositions(n, ell):
-                assert expand_elementary_product(beta) == dense_expansion(beta, ell)
+            expansions = expand_elementary_product(n, ell)
+            for beta, exp in zip(enumerate_compositions(n, ell), expansions, strict=True):
+                assert exp == dense_expansion(beta, ell)
 
 
 @st.composite
@@ -46,16 +50,17 @@ def labels(draw, max_n=16, max_ell=8):
 @settings(max_examples=30, deadline=None, database=None)
 @given(labels())
 def test_expansion_matches_dense_oracle_on_drawn_labels(beta):
-    ell = len(beta)
-    assert expand_elementary_product(beta) == dense_expansion(beta, ell)
+    n, ell = weight(beta), len(beta)
+    exp = expand_elementary_product(n, ell)[enumerate_compositions(n, ell).index(beta)]
+    assert exp == dense_expansion(beta, ell)
 
 
 def test_expansion_is_unitriangular():
     # e^beta = m_{lead(beta)} + terms strictly below in dominance
     for n in range(1, 13):
         for ell in range(1, n + 1):
-            for beta in enumerate_compositions(n, ell):
-                exp = expand_elementary_product(beta)
+            expansions = expand_elementary_product(n, ell)
+            for beta, exp in zip(enumerate_compositions(n, ell), expansions, strict=True):
                 lead = leading_partition(beta)
                 assert exp[lead] == 1
                 for lam, c in exp.items():
@@ -64,8 +69,7 @@ def test_expansion_is_unitriangular():
 
 
 def test_expansion_coefficients_positive_and_graded():
-    for beta in enumerate_compositions(9, 3):
-        exp = expand_elementary_product(beta)
+    for exp in expand_elementary_product(9, 3):
         for lam in exp:
             assert sum(lam) == 9 and len(lam) == 3
 
@@ -83,16 +87,6 @@ def test_transition_matrix_inverts_expansion():
     for n in range(1, 21):
         for ell in range(1, n + 1):
             assert checks.expansion_inverts_matrix(n, ell)
-
-
-def test_shared_raise_table_matches_fresh_tables():
-    # expanding every label of a slice through one table, as a build does,
-    # gives what each label gives with a table of its own
-    for n in range(1, 15):
-        for ell in range(1, n + 1):
-            table = {}
-            for beta in enumerate_compositions(n, ell):
-                assert expand_elementary_product(beta, table) == expand_elementary_product(beta)
 
 
 @st.composite
