@@ -6,7 +6,7 @@ through their modules, so a wrapped or patched function is the one checked.
 """
 
 import math
-from typing import Callable
+from typing import Callable, Optional
 
 from . import analysis, combinatorics, invariants, symfun, xring
 from .combinatorics import Composition
@@ -242,25 +242,28 @@ def relations_vanish(d: int) -> bool:
     )
 
 
-def _verdict(check: Callable[..., bool], calls: list[tuple]) -> bool:
-    """Whether check holds at every argument tuple of calls.
+def _verdict(
+    check: Callable[..., bool], calls: list[tuple]
+) -> tuple[bool, Optional[Exception]]:
+    """Whether check holds at every argument tuple of calls, and what it raised.
 
-    A check that raises has met a fault on the route it checks, and fails.
-    RecursionError is let through: it says that the input is too deep for
-    the interpreter, not that a route is wrong.
+    A check that raises has met a fault on the route it checks, and fails
+    with that exception.  RecursionError is let through: it says that the
+    input is too deep for the interpreter, not that a route is wrong.
     """
     try:
-        return all(check(*args) for args in calls)
+        return all(check(*args) for args in calls), None
     except RecursionError:
         raise
-    except Exception:
-        return False
+    except Exception as exc:
+        return False, exc
 
 
-def run(max_n: int) -> list[tuple[str, bool]]:
-    """Every check up to weight max_n, each judged by _verdict.
+def run(max_n: int) -> list[tuple[str, bool, Optional[Exception]]]:
+    """Every check up to weight max_n as (name, holds, what it raised or None).
 
-    Products and lifts reach weight max_n // 2, closed products index max_n // 4.
+    Each is judged by _verdict.  Products and lifts reach weight
+    max_n // 2, closed products index max_n // 4.
     """
     whole = [(max_n,)]
     slices = [(n, ell) for n in range(1, max_n + 1) for ell in range(1, n + 1)]
@@ -284,4 +287,4 @@ def run(max_n: int) -> list[tuple[str, bool]]:
         ("closing identity: numeric Chern series is lifted basis sum", closing_identity, whole),
         ("relations vanish in Q[x] and number monomials minus dim J_d", relations_vanish, degrees),
     ]
-    return [(name, _verdict(check, calls)) for name, check, calls in named]
+    return [(name, *_verdict(check, calls)) for name, check, calls in named]

@@ -541,7 +541,10 @@ def cmd_verify(args) -> int:
         lambda r: {"check": r[0], "ok": r[1]},
         lambda r: f"{'PASS' if r[1] else 'FAIL'}  {r[0]}",
     )
-    failures = sum(not ok for _, ok in results)
+    for name, _, fault in results:
+        if fault is not None:
+            print(f"jring: {name}: raised {type(fault).__name__}: {fault}", file=sys.stderr)
+    failures = sum(not ok for _, ok, _ in results)
     if failures:
         print(f"{failures} check(s) failed", file=sys.stderr)
         return 1

@@ -61,9 +61,12 @@ length, the Pieri steps run.
 A slice is stored once, in index form: row i belongs to the i-th partition
 and maps k to the entry at the k-th composition, whose leading partition is
 the k-th partition.  On leading partitions beta + u_j adds 1 to the first j
-parts, so the relabel from slice (n - j, l) is one list of positions per
-(slice, j), and a build hashes no composition.  The keyed form entries is
-a view, built on first read.
+parts, and that raise maps the partitions of slice (n - j, l), in order,
+onto those lambda of slice (n, l) with lambda_j > lambda_(j+1) (with
+lambda_l >= 2 for j = l).  So the relabel from slice (n - j, l) is one list
+of positions per (slice, j), read off the slice's own partitions by that
+test, and a build forms no raised partition and hashes no composition.
+The keyed form entries is a view, built on first read.
 """
 
 from __future__ import annotations
@@ -221,8 +224,7 @@ def _build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
     compositions = [from_leading_partition(lam) for lam in partitions]
     position = {lam: i for i, lam in enumerate(partitions)}
     # shifts[j][k] is the position of the k-th partition of slice (n - j, ell)
-    # with its first j parts raised by one: e_j * e^beta = e^(beta + u_j).
-    # Raising keeps lexicographic order, so each list increases
+    # with its first j parts raised by one: e_j * e^beta = e^(beta + u_j)
     shifts: dict[int, list[int]] = {}
     rows: list[Optional[dict[int, int]]] = [None] * len(partitions)
     # one row per partition, from the dominance-smallest upwards
@@ -238,10 +240,7 @@ def _build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
         below = _memo[(n - j, ell)]
         shift = shifts.get(j)
         if shift is None:
-            shift = shifts[j] = [
-                position[tuple([p + 1 for p in kappa[:j]]) + kappa[j:]]
-                for kappa in below.partitions
-            ]
+            shift = shifts[j] = _raised_positions(partitions, j)
         # the row of lambda with its first j parts lowered, relabelled by u_j
         expr = {shift[k]: c for k, c in below.index_rows[bisect_left(shift, i)].items()}
         if j == ell:
@@ -259,8 +258,23 @@ def _build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
                 raise RuntimeError(f"e_{j} * m_{mu} is not triangular at {nu}")
             for k, d in lower.items():
                 expr[k] = expr.get(k, 0) - c * d
-        rows[i] = {k: c for k, c in expr.items() if c}
+        # most steps cancel no entry, and their row is stored as it stands
+        rows[i] = expr if 0 not in expr.values() else _drop_zeros(expr)
     return TransitionMatrix(n, ell, partitions, compositions, rows)
+
+
+def _raised_positions(partitions: list[Partition], j: int) -> list[int]:
+    # raising the first j parts maps the partitions of slice (n - j, l), in
+    # order, onto those lambda of slice (n, l) with lambda_j > lambda_(j+1),
+    # or lambda_l >= 2 when j = l; this lists their positions in partitions
+    if j == len(partitions[0]):
+        return [k for k, lam in enumerate(partitions) if lam[-1] > 1]
+    return [k for k, lam in enumerate(partitions) if lam[j - 1] > lam[j]]
+
+
+def _drop_zeros(expr: dict[int, int]) -> dict[int, int]:
+    # a Pieri row without the entries its subtractions cancelled
+    return {k: c for k, c in expr.items() if c}
 
 
 def _fill_memo(n: int, ell: int) -> None:

@@ -304,9 +304,9 @@ def planted(mp, plant):
 
     def verdict(check, calls):
         try:
-            return all(check(*args) for args in calls)
-        except expected:
-            return False
+            return all(check(*args) for args in calls), None
+        except expected as exc:
+            return False, exc
 
     mp.setattr(checks, "_verdict", verdict)
 
@@ -318,9 +318,9 @@ def test_each_check_fails_on_its_planted_fault(name, plant):
     with pytest.MonkeyPatch.context() as mp:
         planted(mp, plant)
         results = checks.run(max_n)
-    assert dict(results)[name] is False
+    assert {check: ok for check, ok, _ in results}[name] is False
     # a fault hides no check: the names are those of a run without it
-    assert [check for check, _ in results] == [check for check, _ in checks.run(max_n)]
+    assert [check for check, *_ in results] == [check for check, *_ in checks.run(max_n)]
 
 
 PLANTS = sorted({plant for _, plant in FAULTS}, key=lambda plant: plant.__name__)
@@ -337,7 +337,7 @@ def test_each_plant_runs_below_the_weight_it_shows_at(plant):
 
 
 def test_every_check_has_a_planted_fault():
-    assert {name for name, _ in checks.run(2)} <= {name for name, _ in FAULTS}
+    assert {name for name, *_ in checks.run(2)} <= {name for name, _ in FAULTS}
 
 
 def test_a_bump_in_shared_rows_trips_the_conjugation_check_in_each_weight():

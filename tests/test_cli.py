@@ -344,7 +344,34 @@ def test_a_check_that_raises_prints_fail(capsys, monkeypatch, plant):
     assert len(lines) == 13
     name = next(name for name, p in FAULTS if p is plant)
     assert f"FAIL  {name}" in lines
-    assert captured.err.endswith(" check(s) failed\n") and captured.err.count("\n") == 1
+    # stderr names each check that raised, in the order of stdout, and
+    # what it raised, before the count of failures
+    failed = [line[len("FAIL  "):] for line in lines if line.startswith("FAIL  ")]
+    *raised, count = captured.err.splitlines()
+    assert count == f"{len(failed)} check(s) failed"
+    checks_raised = [line.split(": raised ")[0].removeprefix("jring: ") for line in raised]
+    assert name in checks_raised
+    assert checks_raised == [check for check in failed if check in checks_raised]
+    assert all(f": raised {plant.raises.__name__}: " in line for line in raised)
+
+
+def test_verify_names_what_a_check_raised(capsys, monkeypatch):
+    # the check's name, the exception's type and its message, on stderr
+    # only: stdout and the JSON records say FAIL as for a False
+    expansion_leaves_the_slice(monkeypatch)
+    raised = "jring: expansion times transition matrix is identity: raised KeyError: (2, 2)\n"
+    assert main(["verify", "--max-n", "8"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL  expansion times transition matrix is identity" in captured.out
+    assert captured.err == raised + "1 check(s) failed\n"
+    assert main(["verify", "--max-n", "8", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    records = json.loads(captured.out)
+    assert all(sorted(r) == ["check", "ok"] for r in records)
+    assert [r["check"] for r in records if not r["ok"]] == [
+        "expansion times transition matrix is identity"
+    ]
+    assert captured.err == raised + "1 check(s) failed\n"
 
 
 def test_verify_lets_a_recursion_error_through(capsys, monkeypatch):
@@ -396,14 +423,26 @@ def test_a_lowering_outside_the_slice_fails_verify_and_stops_dims(capsys, monkey
         "FAIL  dimension table matches bivariate Poincare series row by row" in captured.out
     )
     assert len(captured.out.splitlines()) == 13
-    assert captured.err.endswith(" check(s) failed\n") and captured.err.count("\n") == 1
+    # the four checks that raise on the fault name it; the derivation and
+    # lift checks return False, and stderr says nothing of them
+    message = "d x_(2, 1) has the term x_(1,), outside the slice (n=2, ell=2) of its codomain"
+    err = "".join(
+        f"jring: {name}: raised RuntimeError: {message}\n"
+        for name in (
+            "dimension table: counting vs kernel rank",
+            "Poincare series matches dimension totals",
+            "dimension table matches bivariate Poincare series row by row",
+            "kernel of d matches the span of the B(0) basis",
+        )
+    ) + "6 check(s) failed\n"
+    assert captured.err == err
     assert main(["verify", "--max-n", "6", "--format", "json"]) == 1
     captured = capsys.readouterr()
     records = {r["check"]: r["ok"] for r in json.loads(captured.out)}
     assert len(records) == 13
     assert records["kernel of d matches the span of the B(0) basis"] is False
     assert records["dimension table: counting vs kernel rank"] is False
-    assert captured.err.endswith(" check(s) failed\n") and captured.err.count("\n") == 1
+    assert captured.err == err
     assert main(["dims", "--max-n", "4"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import raise_oracle
+import shift_oracle
 from backsub_oracle import build_transition_matrix
 from dense_oracle import dense_expansion
 from jring import checks, invariants, symfun
@@ -218,6 +219,65 @@ def test_pieri_step_runs_once_per_row_that_ends_in_a_part_1(monkeypatch):
             want += [lam for lam in tm.partitions if lam[0] > 1 and lam[-1] == 1]
     assert sorted(stepped) == sorted(want)
     assert len(stepped) == 444
+
+
+def test_raised_positions_match_the_raise_and_lookup_oracle():
+    # raising the first j parts of slice (n - j, l) reaches, in order, the
+    # lambda of slice (n, l) with lambda_j > lambda_(j+1), or lambda_l >= 2
+    # for j = l
+    for n in range(2, 25):
+        for ell in range(1, n // 2 + 1):
+            partitions = enumerate_partitions(n, ell)
+            for j in range(1, ell + 1):
+                below = enumerate_partitions(n - j, ell)
+                assert symfun._raised_positions(partitions, j) == shift_oracle.raised_positions(
+                    partitions, below, j
+                )
+
+
+def _assert_no_zero_entry(rows):
+    assert all(0 not in row.values() for row in rows)
+
+
+def test_no_stored_row_holds_a_zero_and_cancelling_rows_are_filtered(monkeypatch):
+    # an ascending sweep: a Pieri row is stored as it stands unless its
+    # subtractions cancelled an entry, and only then filtered
+    drop_zeros = symfun._drop_zeros
+    filtered = []
+
+    def counted(expr):
+        assert 0 in expr.values()
+        filtered.append(expr)
+        return drop_zeros(expr)
+
+    monkeypatch.setattr(symfun, "_memo", {})
+    monkeypatch.setattr(symfun, "_drop_zeros", counted)
+    for n in range(1, 25):
+        for ell in range(1, n + 1):
+            _assert_no_zero_entry(transition_matrix(n, ell).index_rows)
+        if n == 16:
+            assert len(filtered) == 75
+    assert len(filtered) == 1949
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(slices(1, 24))
+def test_no_row_of_a_cold_chain_holds_a_zero(slice_):
+    # every slice the chain builds, including those it drops again
+    build = symfun._build_transition_matrix
+    built = []
+
+    def kept(n, ell):
+        built.append(build(n, ell))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symfun, "_memo", {})
+        mp.setattr(symfun, "_build_transition_matrix", kept)
+        transition_matrix(*slice_)
+    assert len(built) == slice_[0] - slice_[1] + 1
+    for tm in built:
+        _assert_no_zero_entry(tm.index_rows)
 
 
 @st.composite
