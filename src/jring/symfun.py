@@ -58,15 +58,16 @@ no Pieri step; an ascending sweep, which asks for (n - 1, l - 1) first,
 builds every stable slice so.  Otherwise, as in a cold chain of one
 length, the Pieri steps run.
 
-A slice is stored once, in index form: row i belongs to the i-th partition
-and maps k to the entry at the k-th composition, whose leading partition is
-the k-th partition.  On leading partitions beta + u_j adds 1 to the first j
-parts, and that raise maps the partitions of slice (n - j, l), in order,
-onto those lambda of slice (n, l) with lambda_j > lambda_(j+1) (with
-lambda_l >= 2 for j = l).  So the relabel from slice (n - j, l) is one list
-of positions per (slice, j), read off the slice's own partitions by that
-test, and a build forms no raised partition and hashes no composition.
-The keyed form entries is a view, built on first read.
+A slice is stored once, as its partitions and its rows in index form: row
+i belongs to the i-th partition and maps k to the entry at the k-th label,
+the composition whose leading partition is the k-th partition.  On leading
+partitions beta + u_j adds 1 to the first j parts, and that raise maps the
+partitions of slice (n - j, l), in order, onto those lambda of slice (n, l)
+with lambda_j > lambda_(j+1) (with lambda_l >= 2 for j = l).  So the
+relabel from slice (n - j, l) is one list of positions per (slice, j), read
+off the slice's own partitions by that test, and a build forms no raised
+partition and no label.  The labels compositions and the keyed form
+entries are views, built on first read.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .combinatorics import (
@@ -170,23 +170,26 @@ def expand_elementary_product(n: int, ell: int) -> list[dict[Partition, int]]:
     return expansions
 
 
-@dataclass
 class TransitionMatrix:
     """Integer matrix M with m_lambda = sum_beta M[lambda][beta] e^beta.
 
-    index_rows is the stored form, one row per partition in the order of
-    partitions: index_rows[i][k] is M[partitions[i]][compositions[k]], zero
-    entries omitted.  A stable slice (n, l), 2l > n, may hold the very list
-    of slice (n - 1, l - 1), so index_rows is read-only.  entries keys the
-    same entries by (partition, composition); it is a view, built on first
-    read.
+    A slice stores partitions and index_rows: index_rows[i][k] is
+    M[partitions[i]][compositions[k]], zero entries omitted.  A stable slice
+    (n, l), 2l > n, may hold the very list of slice (n - 1, l - 1), so
+    index_rows is read-only.  The labels compositions, the k-th leading with
+    the k-th partition, and entries, keyed by (partition, composition), are
+    views, built on first read.
     """
 
-    n: int
-    ell: int
-    partitions: list[Partition]
-    compositions: list[Composition]
-    index_rows: list[dict[int, int]] = field(repr=False)
+    def __init__(self, n: int, ell: int, partitions: list[Partition], rows: list[dict[int, int]]):
+        self.n = n
+        self.ell = ell
+        self.partitions = partitions
+        self.index_rows = rows
+
+    @functools.cached_property
+    def compositions(self) -> list[Composition]:
+        return [from_leading_partition(lam) for lam in self.partitions]
 
     @functools.cached_property
     def entries(self) -> dict[tuple[Partition, Composition], int]:
@@ -218,10 +221,8 @@ def _build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
     if 2 * ell > n and (n - 1, ell - 1) in _memo:
         below = _memo[(n - 1, ell - 1)]
         partitions = [kappa + (1,) for kappa in below.partitions]
-        compositions = [from_leading_partition(lam) for lam in partitions]
-        return TransitionMatrix(n, ell, partitions, compositions, below.index_rows)
+        return TransitionMatrix(n, ell, partitions, below.index_rows)
     partitions = enumerate_partitions(n, ell)
-    compositions = [from_leading_partition(lam) for lam in partitions]
     position = {lam: i for i, lam in enumerate(partitions)}
     # shifts[j][k] is the position of the k-th partition of slice (n - j, ell)
     # with its first j parts raised by one: e_j * e^beta = e^(beta + u_j)
@@ -260,7 +261,7 @@ def _build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
                 expr[k] = expr.get(k, 0) - c * d
         # most steps cancel no entry, and their row is stored as it stands
         rows[i] = expr if 0 not in expr.values() else _drop_zeros(expr)
-    return TransitionMatrix(n, ell, partitions, compositions, rows)
+    return TransitionMatrix(n, ell, partitions, rows)
 
 
 def _raised_positions(partitions: list[Partition], j: int) -> list[int]:

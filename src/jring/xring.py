@@ -176,14 +176,9 @@ def derivation_delta(p: XPolynomial) -> XPolynomial:
     return XPolynomial._canonical(out)
 
 
-def project(p: XPolynomial, n: int, ell: Optional[int] = None) -> XPolynomial:
-    """Sum of the terms of degree exactly n (and length exactly ell, if given)."""
-    out = {
-        lam: c
-        for lam, c in p.terms.items()
-        if sum(lam) == n and (ell is None or len(lam) == ell)
-    }
-    return XPolynomial._canonical(out)
+def project(p: XPolynomial, n: int) -> XPolynomial:
+    """Sum of the terms of degree exactly n."""
+    return XPolynomial._canonical({lam: c for lam, c in p.terms.items() if sum(lam) == n})
 
 
 def truncate(p: XPolynomial, n: int) -> XPolynomial:

@@ -50,10 +50,11 @@ def build_transition_matrix(n: int, ell: int) -> TransitionMatrix:
                 expr[b2] = expr.get(b2, 0) - c * c2
         m_expr[lam] = {b: c for b, c in expr.items() if c != 0}
     index = {beta: k for k, beta in enumerate(compositions)}
-    return TransitionMatrix(
-        n,
-        ell,
-        partitions,
-        compositions,
-        [{index[b]: c for b, c in m_expr[lam].items()} for lam in partitions],
+    tm = TransitionMatrix(
+        n, ell, partitions, [{index[b]: c for b, c in m_expr[lam].items()} for lam in partitions]
     )
+    # the rows are indexed by the enumerated labels, which the matrix's own
+    # labels, read off its partitions, must list in the same order
+    if tm.compositions != compositions:
+        raise RuntimeError(f"labels out of order at (n={n}, ell={ell})")
+    return tm

@@ -1,13 +1,16 @@
-"""No module in src/jring or tests imports a name it never uses, and
-src/jring defines nothing that only the tests use.
+"""No module in src/jring or tests imports a name it never uses,
+src/jring defines nothing that only the tests use, and importing the CLI
+loads no heavy stdlib module it does not need.
 
 Two small stand-ins for lints, on modules parsed with ast: every name an
 import binds must occur somewhere as a Name node, and every function, class
 and method src/jring defines, at any depth, must be referenced from
-src/jring or perfbench.
+src/jring or perfbench.  The import graph is read in a fresh interpreter.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,3 +103,21 @@ def test_src_keeps_no_test_only_code():
     sources = [path.read_text() for path in MODULES]
     callers = sources + [path.read_text() for path in PERFBENCH]
     assert unreferenced(sources, callers) == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, compared against the modules it holds before the
+    # import, so that what site-packages loads at start-up does not count
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+        "import jring.cli\n"
+        "print(jring.cli.__file__)\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    where, loaded = run.stdout.splitlines()
+    assert Path(where).resolve() == SRC / "cli.py"
+    assert "jring.symfun" in loaded.split()
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded.split())

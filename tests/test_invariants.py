@@ -247,7 +247,9 @@ def test_ch_series_specialization_matches_numeric_product():
             total = XPolynomial()
             for beta in enumerate_compositions(n, ell):
                 total = total + g_poly(beta).scale(e_power_value(beta, ks))
-            assert total == project(numeric, n, ell)
+            assert total == XPolynomial(
+                {lam: c for lam, c in numeric.terms.items() if sum(lam) == n and len(lam) == ell}
+            )
 
 
 def test_ch_numeric_rank_one():

@@ -138,6 +138,7 @@ def test_slice_is_stored_once(monkeypatch):
     assert checks.expansion_inverts_matrix(20, 6)
     assert checks.waring_matches_matrix(20, 6)
     assert "entries" not in tm.__dict__
+    assert tm.compositions == enumerate_compositions(20, 6)
     want = build_transition_matrix(20, 6)
     assert (tm.partitions, tm.compositions, tm.index_rows) == (
         want.partitions, want.compositions, want.index_rows
@@ -168,6 +169,7 @@ def test_ascending_sweep_shares_the_rows_of_stable_slices(monkeypatch):
     for n in range(1, 17):
         for ell in range(1, n + 1):
             tm = transition_matrix(n, ell)
+            assert "compositions" not in tm.__dict__
             assert tm.partitions == enumerate_partitions(n, ell)
             if ell > 1:
                 below = transition_matrix(n - 1, ell - 1)

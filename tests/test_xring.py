@@ -137,9 +137,6 @@ def test_multiplication_commutative_associative():
 def test_project_examples():
     p = x(1) + x(2) + x(3)
     assert project(p, 2) == x(2)
-    q = XPolynomial({(1, 1): 1, (2, 1): 1})
-    assert project(q, 3, 2) == XPolynomial({(2, 1): 1})
-    assert project(q, 3, 1).is_zero()
 
 
 def test_truncate():
@@ -206,7 +203,6 @@ def test_ring_operations_keep_coefficients_canonical(p, q, s, n):
         derivation_d(p),
         derivation_delta(q),
         project(p, n),
-        project(q, n, 2),
         truncate(p, n),
     ):
         assert_canonical(r)
