@@ -13,7 +13,11 @@ verify) prints them through _print_items and gives only the items, an item's
 JSON record and its line: JSON output is one array of records, text and
 LaTeX output one line per item.  basis_label writes a basis label, g(0,2) in
 text and g_{(0,2)} in LaTeX, and _render_terms writes every signed sum of
-terms: polynomials, J-combinations and the LaTeX Poincare series.
+terms: polynomials, J-combinations and the LaTeX Poincare series.  A
+monomial's text and LaTeX strings are written once per process and kept,
+keyed by the partition: every g_beta of a slice is supported on the same
+partitions, so a basis listing writes one string per partition, not one per
+term.
 """
 
 from __future__ import annotations
@@ -59,12 +63,14 @@ def _runs(lam) -> list[tuple[int, int]]:
     return out
 
 
+@functools.cache
 def _monomial_text(lam) -> str:
     if not lam:
         return "1"
     return "*".join([f"x{v}^{e}" if e > 1 else f"x{v}" for v, e in _runs(lam)])
 
 
+@functools.cache
 def _monomial_latex(lam) -> str:
     if not lam:
         return "1"

@@ -67,7 +67,8 @@ with lambda_j > lambda_(j+1) (with lambda_l >= 2 for j = l).  So the
 relabel from slice (n - j, l) is one list of positions per (slice, j), read
 off the slice's own partitions by that test, and a build forms no raised
 partition and no label.  The labels compositions and the keyed form
-entries are views, built on first read.
+entries are views, built on first read; a column read forms no label either,
+since row i holds keys >= i only and the column at k is read off rows 0..k.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ from .combinatorics import (
     enumerate_partitions,
     from_leading_partition,
     is_composition,
+    leading_partition,
     weight,
 )
 
@@ -178,7 +180,8 @@ class TransitionMatrix:
     (n, l), 2l > n, may hold the very list of slice (n - 1, l - 1), so
     index_rows is read-only.  The labels compositions, the k-th leading with
     the k-th partition, and entries, keyed by (partition, composition), are
-    views, built on first read.
+    views, built on first read.  A column read forms no label: g_column
+    finds beta's leading partition among partitions.
     """
 
     def __init__(self, n: int, ell: int, partitions: list[Partition], rows: list[dict[int, int]]):
@@ -205,11 +208,25 @@ class TransitionMatrix:
         return self.entries.get((lam, beta), 0)
 
     def g_column(self, beta: Composition) -> dict[Partition, int]:
-        """Coefficients of the invariant polynomial labelled by beta."""
-        k = self.compositions.index(beta)
-        return {
-            lam: row[k] for lam, row in zip(self.partitions, self.index_rows) if k in row
-        }
+        """Coefficients of the invariant polynomial labelled by beta.
+
+        The column of beta is at the position k of its leading partition,
+        and only rows 0..k can hold it: row i holds keys >= i.  A beta of
+        another length raises ValueError, and so does one of this length
+        whose leading partition is not in the slice.
+        """
+        if len(beta) != self.ell:
+            raise ValueError(f"{beta} is not a label of slice ({self.n}, {self.ell})")
+        k = self.partitions.index(leading_partition(beta))
+        # a plain loop: per call it measured cheaper than a comprehension
+        # over the sliced lists
+        parts, rows = self.partitions, self.index_rows
+        column = {}
+        for i in range(k + 1):
+            c = rows[i].get(k)
+            if c is not None:
+                column[parts[i]] = c
+        return column
 
 
 _memo: dict[tuple[int, int], TransitionMatrix] = {}

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jring import cli
 from jring.cli import (
     build_parser,
     main,
@@ -58,6 +59,35 @@ def test_monomials_brace_two_digit_parts_and_exponents_in_latex():
     assert render_polynomial(p, "text") == "x1^10*x3*x12^2"
     assert render_polynomial(p, "latex") == "x_1^{10}x_3x_{12}^2"
     assert render_polynomial(XPolynomial({(10, 9, 9): 1}), "latex") == "x_9^2x_{10}"
+
+
+@pytest.mark.parametrize("order", [("text", "latex", "text"), ("latex", "text", "latex")])
+def test_monomial_memo_writes_what_the_oracle_writes(order):
+    # each format keeps its own strings, whichever format writes a partition first
+    cli._monomial_text.cache_clear()
+    cli._monomial_latex.cache_clear()
+    lams = [(), (1,), (3, 3, 2, 1), (10, 9, 9), (12, 12, 3) + (1,) * 10, (11,) * 11]
+    for fmt in order:
+        for lam in lams:
+            p = XPolynomial({lam: -2})
+            assert render_polynomial(p, fmt) == render_oracle.render_polynomial(p, fmt)
+    assert cli._monomial_text.cache_info().currsize == len(lams)
+    assert cli._monomial_latex.cache_info().currsize == len(lams)
+    # the third pass is written from the memo
+    hits = cli._monomial_text.cache_info().hits + cli._monomial_latex.cache_info().hits
+    assert hits == len(lams)
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex"])
+def test_basis_writes_each_monomial_of_its_slice_once(capsys, fmt):
+    # every g_beta of slice (20, 6) is supported on its 90 partitions
+    memo = {"text": cli._monomial_text, "latex": cli._monomial_latex}
+    for f in memo.values():
+        f.cache_clear()
+    assert main(["--format", fmt, "basis", "--n", "20", "--ell", "6"]) == 0
+    assert capsys.readouterr().out.count("\n") == 90
+    assert memo[fmt].cache_info().currsize == 90
+    assert all(f.cache_info().currsize == 0 for name, f in memo.items() if name != fmt)
 
 
 def test_render_polynomial_json_round_trip():

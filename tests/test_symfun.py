@@ -82,6 +82,10 @@ def test_transition_matrix_shape_and_unitriangular():
             assert len(tm.partitions) == len(tm.compositions)
             for beta in tm.compositions:
                 assert tm.entry(leading_partition(beta), beta) == 1
+            # row i holds keys >= i only, with entry 1 at i: g_column reads
+            # the column at k off rows 0..k
+            for i, row in enumerate(tm.index_rows):
+                assert min(row) == i and row[i] == 1
 
 
 def test_transition_matrix_inverts_expansion():
@@ -398,6 +402,43 @@ def test_g_column_example():
     tm = transition_matrix(4, 2)
     assert tm.g_column((0, 2)) == {(2, 2): 1, (3, 1): -2}
     assert tm.g_column((2, 1)) == {(3, 1): 1}
+    # labels of other slices, some leading with a partition of this one
+    for beta in ((0, 2, 0), (2, 1, 0), (4,), (1, 1), (0, 3), (3, 0), (-1, 3), (0, 0, 1)):
+        with pytest.raises(ValueError):
+            tm.g_column(beta)
+
+
+def _column_through_labels(tm, beta):
+    # the column as read before g_column skipped the label list
+    k = tm.compositions.index(beta)
+    return {lam: row[k] for lam, row in zip(tm.partitions, tm.index_rows) if k in row}
+
+
+def _assert_columns_read_through_labels(tm):
+    for beta in enumerate_compositions(tm.n, tm.ell):
+        assert tm.g_column(beta) == _column_through_labels(tm, beta)
+
+
+def test_g_column_is_the_column_at_its_label():
+    for n in range(1, 15):
+        for ell in range(1, n + 1):
+            _assert_columns_read_through_labels(transition_matrix(n, ell))
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(slices(15, 24))
+def test_g_column_is_the_column_at_its_label_on_drawn_cold_slices(slice_):
+    _assert_columns_read_through_labels(_cold(*slice_))
+
+
+def test_column_read_forms_no_label(monkeypatch):
+    # cold chains, and stable slices that share the rows of the slice below
+    monkeypatch.setattr(symfun, "_memo", {})
+    for n, ell in ((4, 2), (20, 6), (16, 8), (17, 9), (13, 13)):
+        tm = transition_matrix(n, ell)
+        for beta in enumerate_compositions(n, ell):
+            invariants.g_poly(beta)
+        assert "compositions" not in tm.__dict__
 
 
 @pytest.mark.parametrize(
